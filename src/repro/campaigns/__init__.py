@@ -19,8 +19,11 @@ one layer per concern so each can evolve (and be swapped) alone:
   across calls and scheduler jobs, with failures wrapped as
   :class:`~repro.campaigns.executors.ChunkExecutionError` naming the
   chunk that died;
-* :mod:`repro.campaigns.worker_cache` -- the worker-side memo behind
-  the warm pools: seed-independent heavy state per task fingerprint
+* :mod:`repro.campaigns.worker_cache` -- the worker-side memo every
+  executor leases chunk state from (for the executor's lifetime on
+  serial, one call per thread on the one-shot thread pool, the worker
+  lifetime on the warm pools): seed-independent heavy state per task
+  fingerprint
   (:class:`~repro.campaigns.worker_cache.WorkerStateCache`), rebuilt
   seed-dependent streams per chunk, bit-identity preserved;
 * :mod:`repro.campaigns.checkpoints` -- **durability**: the JSON

@@ -7,20 +7,28 @@ Executors own *where* chunks run and nothing else: the plan layer has
 already fixed every seed and boundary, so any executor at any
 concurrency produces bit-identical merged statistics for the same plan.
 
+Every executor runs chunks through one helper -- lease the task's
+state from a :class:`~repro.campaigns.worker_cache.WorkerStateCache`,
+run ``task.run_chunk_warm``, report a :class:`ChunkTiming` -- and they
+differ only in how long each cache lives.
+
 Five implementations ship, in two families:
 
 **One-shot** (pool per ``submit_jobs`` call):
 
 * :class:`SerialExecutor` -- inline in the calling thread; the
-  ``num_workers == 1`` path and the degenerate single-chunk fallback.
-* :class:`ThreadExecutor` -- a ``concurrent.futures`` thread pool.
-  Useful when chunk work releases the GIL (numpy kernels in the simd
-  engine) and for the campaign service's many-small-interactive-jobs
-  regime, where process fan-out overhead dominates tiny jobs.
-* :class:`ProcessExecutor` -- ``multiprocessing`` fan-out.  Each
-  worker receives the task table **once**, through the pool
-  initializer, instead of a task copy pickled into every job tuple;
-  job tuples carry only ``(position, slot, index, seed, count)``.
+  ``num_workers == 1`` path.  Its cache lives as long as the executor,
+  so only a task's first chunk builds the bench.
+* :class:`ThreadExecutor` -- a ``concurrent.futures`` thread pool,
+  with one cache per pool thread for the length of the call.  Useful
+  when chunk work releases the GIL (numpy kernels in the simd engine)
+  and for the campaign service's many-small-interactive-jobs regime,
+  where process fan-out overhead dominates tiny jobs.
+* :class:`ProcessExecutor` -- ``multiprocessing`` fan-out, cold:
+  every chunk builds its own state.  Each worker receives the task
+  table **once**, through the pool initializer, instead of a task copy
+  pickled into every job tuple; job tuples carry only ``(position,
+  slot, index, seed, count)``.
 
 **Warm persistent** (pool outlives ``submit_jobs`` calls; explicit
 ``close()`` / context-manager lifecycle, optional idle teardown):
@@ -59,8 +67,8 @@ import sys
 import threading
 import time
 import traceback
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Protocol,
+                    Sequence, Set, Tuple)
 
 from repro.campaigns.plan import ChunkPlanEntry
 from repro.campaigns.worker_cache import (
@@ -69,11 +77,6 @@ from repro.campaigns.worker_cache import (
     WorkerStateCache,
     task_state_key,
 )
-
-try:  # pragma: no cover - typing nicety only
-    from typing import Protocol
-except ImportError:  # pragma: no cover - Python < 3.8
-    Protocol = object  # type: ignore[assignment]
 
 #: A scheduler job: an opaque tag, the plan entry to run, and the task
 #: that runs it.  Tags come back attached to results so the caller can
@@ -107,6 +110,13 @@ class ChunkExecutionError(RuntimeError):
         self.worker_traceback = worker_traceback
 
     @classmethod
+    def from_worker(cls, entry: ChunkPlanEntry,
+                    worker_traceback: str) -> "ChunkExecutionError":
+        """A failure reported by a worker process as traceback text."""
+        return cls(entry.index, entry.chunk_seed, entry.count,
+                   "worker process raised", worker_traceback)
+
+    @classmethod
     def wrap(cls, entry: ChunkPlanEntry,
              exc: BaseException) -> "ChunkExecutionError":
         """Wrap an in-process exception, preserving it as the cause."""
@@ -126,6 +136,8 @@ class ChunkExecutor(Protocol):
     :class:`ChunkExecutionError` from the consuming iterator.
     """
 
+    last_chunk_timing: Optional[ChunkTiming]
+
     def submit(self, entries: Iterable[ChunkPlanEntry],
                task: Any) -> Iterator[Tuple[int, Any]]:
         ...
@@ -133,6 +145,9 @@ class ChunkExecutor(Protocol):
 
 class ChunkExecutorBase:
     """Shared plumbing: ``submit`` in terms of ``submit_jobs``."""
+
+    #: Timing of the chunk just yielded by ``submit_jobs``.
+    last_chunk_timing: Optional[ChunkTiming] = None
 
     def submit(self, entries: Iterable[ChunkPlanEntry],
                task: Any) -> Iterator[Tuple[int, Any]]:
@@ -153,23 +168,50 @@ class ChunkExecutorBase:
         raise NotImplementedError
 
 
-def _run_entry(task: Any, entry: ChunkPlanEntry) -> Any:
-    """Run one entry in-process, wrapping failures."""
+def _run_leased(cache: WorkerStateCache, task: Any, entry: ChunkPlanEntry
+                ) -> Tuple[Any, ChunkTiming]:
+    """Run one entry on ``task``'s state leased from ``cache``: a miss
+    builds the state (the timing's ``setup``), ``run_chunk_warm`` runs
+    the chunk (its ``compute``).  Failures are wrapped as
+    :class:`ChunkExecutionError` naming the entry."""
     try:
-        return task.run_chunk(entry.chunk_seed, entry.count)
+        state, setup, cache_hit = cache.lease(task)
+        started = time.perf_counter()
+        result = task.run_chunk_warm(state, entry.chunk_seed, entry.count)
     except ChunkExecutionError:
         raise
     except Exception as exc:
         raise ChunkExecutionError.wrap(entry, exc) from exc
+    return result, ChunkTiming(setup, time.perf_counter() - started,
+                               cache_hit)
+
+
+def _run_thread_leased(local: threading.local, max_entries: int,
+                       entry: ChunkPlanEntry, task: Any
+                       ) -> Tuple[Any, ChunkTiming]:
+    """:func:`_run_leased` on the calling thread's own cache in ``local``
+    (designs are not thread-safe, so threads never share a state)."""
+    cache = getattr(local, "cache", None)
+    if cache is None:
+        cache = local.cache = WorkerStateCache(max_entries=max_entries)
+    return _run_leased(cache, task, entry)
 
 
 class SerialExecutor(ChunkExecutorBase):
-    """Run every chunk inline, in submission order."""
+    """Run every chunk inline, in submission order, on state from one
+    :class:`WorkerStateCache` that lives as long as the executor: a
+    task's first chunk builds its bench, later chunks with the same
+    fingerprint reuse it.  Serves one thread at a time."""
+
+    def __init__(self) -> None:
+        self.cache = WorkerStateCache()
 
     def submit_jobs(self, jobs: Iterable[TaggedJob]
                     ) -> Iterator[Tuple[Any, int, Any]]:
         for tag, entry, task in jobs:
-            yield tag, entry.index, _run_entry(task, entry)
+            result, self.last_chunk_timing = _run_leased(self.cache, task,
+                                                         entry)
+            yield tag, entry.index, result
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
@@ -182,7 +224,8 @@ class ThreadExecutor(ChunkExecutorBase):
     start-up cost; it overlaps real work only where the chunk's inner
     loop releases the GIL (numpy kernels) or blocks on IO.  Jobs are
     dispatched in submission order, which is what gives the scheduler
-    its fair-share interleaving.
+    its fair-share interleaving.  Each pool thread has its own state
+    cache for the length of the call.
     """
 
     def __init__(self, num_workers: int):
@@ -198,17 +241,23 @@ class ThreadExecutor(ChunkExecutorBase):
 
         jobs = list(jobs)
         if len(jobs) <= 1 or self.num_workers == 1:
-            yield from SerialExecutor().submit_jobs(jobs)
+            serial = SerialExecutor()
+            for item in serial.submit_jobs(jobs):
+                self.last_chunk_timing = serial.last_chunk_timing
+                yield item
             return
+        local = threading.local()
         with _Pool(max_workers=min(self.num_workers, len(jobs))) as pool:
-            futures = {pool.submit(_run_entry, task, entry): (tag, entry)
-                       for tag, entry, task in jobs}
+            futures = {pool.submit(_run_thread_leased, local,
+                                   DEFAULT_MAX_ENTRIES, entry, task):
+                       (tag, entry) for tag, entry, task in jobs}
             pending = set(futures)
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     tag, entry = futures[future]
-                    yield tag, entry.index, future.result()
+                    result, self.last_chunk_timing = future.result()
+                    yield tag, entry.index, result
 
     def __repr__(self) -> str:
         return f"ThreadExecutor(num_workers={self.num_workers})"
@@ -277,20 +326,18 @@ def _slot_jobs(jobs: Sequence[TaggedJob]
 
 
 def _run_pool_job(job: Tuple[int, int, int, int, int]
-                  ) -> Tuple[int, Any, Optional[str]]:
-    """Worker-side entry point: run one chunk from the task table.
-
-    Returns ``(position, result, None)`` on success and ``(position,
-    None, traceback_text)`` on failure -- the traceback crosses the
-    process boundary as text because live exception objects (and their
-    frames) may not pickle.
-    """
-    position, slot, _index, chunk_seed, count = job
+                  ) -> Tuple[int, Any, Optional[ChunkTiming], Optional[str]]:
+    """Worker-side entry point: run one chunk from the task table, on a
+    state built for it alone.  Returns ``(position, result, timing,
+    None)``, or ``(position, None, None, traceback_text)`` on failure:
+    live exception objects (and their frames) may not pickle."""
+    position, slot, index, chunk_seed, count = job
     try:
-        return position, _WORKER_TASKS[slot].run_chunk(chunk_seed,
-                                                       count), None
+        result, timing = _run_leased(WorkerStateCache(), _WORKER_TASKS[slot],
+                                     ChunkPlanEntry(index, chunk_seed, count))
+        return position, result, timing, None
     except Exception:
-        return position, None, traceback.format_exc()
+        return position, None, None, traceback.format_exc()
 
 
 class ProcessExecutor(ChunkExecutorBase):
@@ -305,7 +352,7 @@ class ProcessExecutor(ChunkExecutorBase):
     ----------
     num_workers:
         Process count.  A single worker (or a single pending job)
-        degrades to inline execution -- same results, no pool.
+        degrades to inline, still cold, execution -- same results.
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``
         (cheap, inherits ``sys.path``) and falls back to ``spawn``.
@@ -318,28 +365,26 @@ class ProcessExecutor(ChunkExecutorBase):
         self.num_workers = num_workers
         self._start_method = start_method
 
-    def _pool_context(self):
-        return _start_context(self._start_method)
-
     def submit_jobs(self, jobs: Iterable[TaggedJob]
                     ) -> Iterator[Tuple[Any, int, Any]]:
         jobs = list(jobs)
         if len(jobs) <= 1 or self.num_workers == 1:
-            yield from SerialExecutor().submit_jobs(jobs)
+            for tag, entry, task in jobs:  # a fresh state per chunk
+                result, self.last_chunk_timing = _run_leased(
+                    WorkerStateCache(), task, entry)
+                yield tag, entry.index, result
             return
         tuples, tasks = _slot_jobs(jobs)
-        context = self._pool_context()
+        context = _start_context(self._start_method)
         workers = min(self.num_workers, len(tuples))
         with context.Pool(workers, initializer=_init_worker,
                           initargs=(list(sys.path), tasks)) as pool:
-            for position, result, failure in pool.imap_unordered(
+            for position, result, timing, failure in pool.imap_unordered(
                     _run_pool_job, tuples):
                 tag, entry, _task = jobs[position]
                 if failure is not None:
-                    raise ChunkExecutionError(
-                        entry.index, entry.chunk_seed, entry.count,
-                        "worker process raised",
-                        worker_traceback=failure)
+                    raise ChunkExecutionError.from_worker(entry, failure)
+                self.last_chunk_timing = timing
                 yield tag, entry.index, result
 
     def __repr__(self) -> str:
@@ -360,19 +405,16 @@ def _persistent_worker_main(parent_sys_path: List[str], worker_id: int,
       most once per (worker lifetime, fingerprint): that is the
       incremental task shipping that replaces the cold pool's
       re-shipping of the whole table on every ``submit_jobs``.
-    * ``("job", epoch, position, key, chunk_seed, count)`` -- run one
-      chunk through the warm path: lease the task's memoized state
-      from the worker's :class:`~repro.campaigns.worker_cache.\
-WorkerStateCache` (building it on first sight -- that build is the
-      ``setup`` half of the reported timing) and ``run_chunk_warm``.
+    * ``("job", epoch, position, key, index, chunk_seed, count)`` --
+      run one plan entry through :func:`_run_leased` on the worker's
+      :class:`~repro.campaigns.worker_cache.WorkerStateCache`.
       Replies ``(worker_id, epoch, position, result, (setup, compute,
       cache_hit), None)`` on success, ``(worker_id, epoch, position,
-      None, None, traceback_text)`` on failure.
+      None, None, traceback_text)`` on failure.  Plain values keep
+      the per-chunk messages cheap to pickle.
     * ``("stop",)`` -- exit the loop (sent by ``close()``).
     """
-    for entry in reversed(parent_sys_path):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
+    _init_worker(parent_sys_path, {})  # the import path, as a cold worker
     tasks: Dict[str, Any] = {}
     cache = WorkerStateCache(max_entries=max_cached)
     while True:
@@ -386,15 +428,12 @@ WorkerStateCache` (building it on first sight -- that build is the
         if kind == "task":
             tasks[message[1]] = message[2]
             continue
-        _, epoch, position, key, chunk_seed, count = message
+        _, epoch, position, key, *entry = message
         try:
-            task = tasks[key]
-            state, setup, cache_hit = cache.lease(task)
-            started = time.perf_counter()
-            result = task.run_chunk_warm(state, chunk_seed, count)
-            compute = time.perf_counter() - started
+            result, timing = _run_leased(cache, tasks[key],
+                                         ChunkPlanEntry(*entry))
             result_queue.put((worker_id, epoch, position, result,
-                              (setup, compute, cache_hit), None))
+                              tuple(timing), None))
         except Exception:
             result_queue.put((worker_id, epoch, position, None, None,
                               traceback.format_exc()))
@@ -418,6 +457,26 @@ class _WarmLifecycleMixin:
     """Shared close/context-manager/idle-timer plumbing of the warm
     executors.  Subclasses implement ``_teardown()`` (drop the pool,
     keep the executor reusable) and set ``_closed`` in ``close()``."""
+
+    def _init_warm(self, num_workers: int, window: Optional[int],
+                   idle_timeout: Optional[float], max_cached: int) -> None:
+        """Validate and store the arguments both warm executors take."""
+        if num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
+        if window is not None and window < 1:
+            raise ValueError("window must be >= 1")
+        if idle_timeout is not None and idle_timeout <= 0:
+            raise ValueError("idle_timeout must be positive")
+        self.num_workers = num_workers
+        #: In-flight dispatch bound: every worker busy plus a small
+        #: ready queue, never a materialized huge plan.
+        self.window = window if window is not None else max(
+            2 * num_workers, 4)
+        self.idle_timeout = idle_timeout
+        self._max_cached = max_cached
+        self._closed = False
+        self._lock = threading.RLock()
+        self._idle_timer: Optional[threading.Timer] = None
 
     def __enter__(self):
         return self
@@ -484,11 +543,7 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
 
     Dispatch streams: jobs are pulled from the (lazily consumed)
     iterable only while fewer than ``window`` are in flight, each to
-    the least-loaded worker.  After each yielded result,
-    :attr:`last_chunk_timing` holds that chunk's
-    :class:`~repro.campaigns.worker_cache.ChunkTiming` -- the runner
-    and scheduler surface the cumulative split through
-    ``CampaignProgress``.
+    the least-loaded worker.
 
     Failure containment: a raised :class:`ChunkExecutionError` leaves
     the pool warm.  Results of abandoned calls are discarded by epoch,
@@ -507,32 +562,14 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
                  window: Optional[int] = None,
                  idle_timeout: Optional[float] = None,
                  max_cached_states: int = DEFAULT_MAX_ENTRIES):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
-        self.num_workers = num_workers
+        self._init_warm(num_workers, window, idle_timeout,
+                        max_cached_states)
         self._start_method = start_method
-        #: In-flight dispatch bound; enough to keep every worker busy
-        #: plus a small ready queue, small enough that a huge plan is
-        #: never materialized.
-        self.window = window if window is not None else max(
-            2 * num_workers, 4)
-        self.idle_timeout = idle_timeout
-        self._max_cached = max_cached_states
         self._context: Any = None
         self._workers: Dict[int, _WorkerRecord] = {}
         self._next_worker_id = 0
         self._result_queue: Any = None
         self._epoch = 0
-        self._closed = False
-        self._lock = threading.RLock()
-        self._idle_timer: Optional[threading.Timer] = None
-        #: Timing of the most recently yielded chunk (consumers read it
-        #: right after each ``submit_jobs`` yield).
-        self.last_chunk_timing: Optional[ChunkTiming] = None
 
     # -- pool management ------------------------------------------------
     @property
@@ -615,8 +652,7 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
         if key not in record.shipped:
             record.queue.put(("task", key, task))
             record.shipped.add(key)
-        record.queue.put(("job", epoch, position, key, entry.chunk_seed,
-                          entry.count))
+        record.queue.put(("job", epoch, position, key, *entry))
         record.inflight += 1
         return worker_id
 
@@ -687,10 +723,7 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
                 tag, entry = pending.pop(position)
                 assigned.pop(position, None)
                 if failure is not None:
-                    raise ChunkExecutionError(
-                        entry.index, entry.chunk_seed, entry.count,
-                        "worker process raised",
-                        worker_traceback=failure)
+                    raise ChunkExecutionError.from_worker(entry, failure)
                 self.last_chunk_timing = ChunkTiming(*timing)
                 yield tag, entry.index, result
         finally:
@@ -726,23 +759,10 @@ class PersistentThreadExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
                  window: Optional[int] = None,
                  idle_timeout: Optional[float] = None,
                  max_cached_states: int = DEFAULT_MAX_ENTRIES):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
-        self.num_workers = num_workers
-        self.window = window if window is not None else max(
-            2 * num_workers, 4)
-        self.idle_timeout = idle_timeout
-        self._max_cached = max_cached_states
+        self._init_warm(num_workers, window, idle_timeout,
+                        max_cached_states)
         self._pool: Any = None
         self._local = threading.local()
-        self._closed = False
-        self._lock = threading.RLock()
-        self._idle_timer: Optional[threading.Timer] = None
-        self.last_chunk_timing: Optional[ChunkTiming] = None
 
     def _ensure_pool(self) -> None:
         if self._pool is None:
@@ -754,27 +774,6 @@ class PersistentThreadExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-    def _thread_cache(self) -> WorkerStateCache:
-        cache = getattr(self._local, "cache", None)
-        if cache is None:
-            cache = WorkerStateCache(max_entries=self._max_cached)
-            self._local.cache = cache
-        return cache
-
-    def _run_warm(self, entry: ChunkPlanEntry, task: Any
-                  ) -> Tuple[Any, ChunkTiming]:
-        try:
-            state, setup, cache_hit = self._thread_cache().lease(task)
-            started = time.perf_counter()
-            result = task.run_chunk_warm(state, entry.chunk_seed,
-                                         entry.count)
-        except ChunkExecutionError:
-            raise
-        except Exception as exc:
-            raise ChunkExecutionError.wrap(entry, exc) from exc
-        return result, ChunkTiming(setup, time.perf_counter() - started,
-                                   cache_hit)
 
     def submit_jobs(self, jobs: Iterable[TaggedJob]
                     ) -> Iterator[Tuple[Any, int, Any]]:
@@ -796,7 +795,8 @@ class PersistentThreadExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
                     except StopIteration:
                         exhausted = True
                         break
-                    future = pool.submit(self._run_warm, entry, task)
+                    future = pool.submit(_run_thread_leased, self._local,
+                                         self._max_cached, entry, task)
                     futures[future] = (tag, entry)
                 if not futures:
                     break

@@ -13,8 +13,9 @@ each --
   merged statistics are **bit-identical for any executor and any
   number of workers**;
 * :mod:`repro.campaigns.executors` -- where chunks run: inline,
-  thread pool, or process pool (tasks pickled once per worker), with
-  failures wrapped as :class:`~repro.campaigns.executors.\
+  thread pool, or process pool (tasks pickled once per worker), on
+  worker state reused across chunks (all but the cold process pool),
+  with failures wrapped as :class:`~repro.campaigns.executors.\
 ChunkExecutionError` naming the chunk that died;
 * :mod:`repro.campaigns.checkpoints` -- the JSON checkpoint: header
   validation, atomic replace, and the ``save_interval`` flush policy
@@ -26,7 +27,7 @@ ChunkExecutionError` naming the chunk that died;
 Work is described by a :class:`CampaignTask`: a small picklable object
 that knows how to run one chunk from one chunk seed.  Tasks build
 their (unpicklable) simulation state -- test benches, protected
-designs -- inside ``run_chunk``, in the worker process.
+designs -- inside the worker, in ``build_worker_state``.
 
 :class:`ShardedCampaignRunner` keeps its historical constructor and
 ``run()`` semantics (existing callers are untouched); ``executor=``
@@ -63,26 +64,38 @@ class CampaignTask:
     ``to_dict`` and a ``from_dict`` classmethod (see
     :mod:`repro.campaigns.stats`).  Keep task fields down to plain
     primitives so the task pickles cheaply to worker processes; any
-    heavyweight simulation state belongs inside :meth:`run_chunk`.
+    heavyweight simulation state belongs in :meth:`build_worker_state`
+    (or inside :meth:`run_chunk`, for tasks without a warm path).
     """
 
     def run_chunk(self, chunk_seed: int, num_sequences: int) -> Any:
-        """Run ``num_sequences`` sequences seeded from ``chunk_seed``."""
+        """Run ``num_sequences`` sequences seeded from ``chunk_seed``.
+
+        The cold path, with nothing reused from earlier chunks.  The
+        executors call :meth:`run_chunk_warm` instead (the cold process
+        pool on a fresh state per chunk).  A task with a warm path
+        should define it as ``self.run_chunk_warm(
+        self.build_worker_state(), chunk_seed, num_sequences)``, so the
+        two paths cannot diverge.
+        """
         raise NotImplementedError
 
     def build_worker_state(self) -> Any:
         """Seed-independent heavy state reused across chunks.
 
-        The warm executors call this once per ``(worker,
-        fingerprint())`` and memoize the result in a
-        :class:`~repro.campaigns.worker_cache.WorkerStateCache`; the
-        state is then passed to every :meth:`run_chunk_warm` call that
-        worker serves for this task.  Only **seed-independent** work
-        belongs here (circuit construction, engine instances, LUTs,
-        kernel warm-up) -- anything derived from a chunk seed must stay
-        in ``run_chunk_warm`` or warm results diverge from cold ones.
-        The default returns ``None``: tasks without a warm path run
-        unchanged (``run_chunk_warm`` falls back to :meth:`run_chunk`).
+        Executors call this once per ``(cache, fingerprint())`` and
+        memoize the result in a
+        :class:`~repro.campaigns.worker_cache.WorkerStateCache` -- one
+        cache per serial executor, per thread of a one-shot thread
+        pool's call, and per warm pool worker -- and pass the state to
+        every :meth:`run_chunk_warm` call that cache serves for this
+        task.  Only **seed-independent** work belongs here (circuit
+        construction, engine instances, LUTs, kernel warm-up) --
+        anything derived from a chunk seed must stay in
+        ``run_chunk_warm`` or results depend on which chunks ran
+        before.  The default returns ``None``: tasks without a warm
+        path run unchanged (``run_chunk_warm`` falls back to
+        :meth:`run_chunk`).
         """
         return None
 
@@ -142,12 +155,13 @@ class CampaignProgress:
     not report an impossible rate.
 
     ``setup_seconds``/``compute_seconds`` are the campaign's cumulative
-    worker-side setup-vs-compute split, reported by executors that
-    expose per-chunk timing (the warm persistent executors; see
-    :class:`~repro.campaigns.worker_cache.ChunkTiming`).  On a warm
-    pool, ``setup_seconds`` stops growing once every worker has built
-    the task's state -- that plateau is the amortization being
-    observable.  Executors without timing leave both at ``0.0``.
+    worker-side setup-vs-compute split, summed from each chunk's
+    :class:`~repro.campaigns.worker_cache.ChunkTiming`; every built-in
+    executor reports it (an executor that does not leaves both at
+    ``0.0``).  On every executor but the cold process pool,
+    ``setup_seconds`` stops growing once each worker (the serial
+    executor is one) has built the task's state -- that plateau is the
+    amortization being observable.
     """
 
     chunk_index: int
@@ -343,7 +357,7 @@ class ShardedCampaignRunner:
         restored = sum(counts[i] for i in completed)
         started = time.perf_counter()
         # Cumulative worker-side setup/compute split, accumulated from
-        # executors that report per-chunk timing (the warm pools).
+        # executors that report per-chunk timing.
         timing = {"setup": 0.0, "compute": 0.0}
 
         def emit(chunk_index: int, from_checkpoint: bool = False) -> None:
@@ -374,8 +388,7 @@ class ShardedCampaignRunner:
             try:
                 for index, result in executor.submit(
                         plan.iter_pending(completed), self.task):
-                    chunk_timing = getattr(executor, "last_chunk_timing",
-                                           None)
+                    chunk_timing = executor.last_chunk_timing
                     if chunk_timing is not None:
                         timing["setup"] += chunk_timing.setup_seconds
                         timing["compute"] += chunk_timing.compute_seconds

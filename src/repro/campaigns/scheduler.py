@@ -65,8 +65,8 @@ class CampaignJob:
         self.done = False
         self.from_cache = False
         #: Cumulative worker-side setup/compute seconds of this job's
-        #: chunks, from executors that report per-chunk timing (the
-        #: warm pools); stays 0.0 elsewhere.
+        #: chunks, from executors that report per-chunk timing (every
+        #: built-in one); stays 0.0 elsewhere.
         self.setup_seconds = 0.0
         self.compute_seconds = 0.0
         self._counts = plan.counts()
@@ -266,8 +266,7 @@ CheckpointStore`).
         try:
             for job, index, result in self._executor.submit_jobs(
                     interleaved()):
-                timing = getattr(self._executor, "last_chunk_timing",
-                                 None)
+                timing = self._executor.last_chunk_timing
                 if timing is not None:
                     job.setup_seconds += timing.setup_seconds
                     job.compute_seconds += timing.compute_seconds

@@ -1,12 +1,14 @@
-"""Worker-side state cache for the warm persistent executors.
+"""Worker-side state cache shared by the executors.
 
 A cold chunk pays for everything: the protected design (circuit,
 chains, monitor bank), the engine instance with its workspaces, the
 memoized GF(2) LUTs, and -- on the jit engine -- kernel warm-up.  The
-kernels have long out-scaled those fixed costs, so the persistent
-executors (:class:`~repro.campaigns.executors.PersistentProcessExecutor`
-and friends) keep one :class:`WorkerStateCache` per worker *lifetime*
-and rebuild only the cheap seed-dependent wrappers per chunk.
+kernels have long out-scaled those fixed costs, so the executors keep
+a :class:`WorkerStateCache` -- one per serial executor, per thread of
+a one-shot thread pool's call, and per warm worker *lifetime* -- and
+rebuild only the cheap seed-dependent wrappers per chunk.  Only the
+cold :class:`~repro.campaigns.executors.ProcessExecutor` builds a
+fresh state for every chunk.
 
 The split is the determinism contract of this module:
 
@@ -17,8 +19,8 @@ The split is the determinism contract of this module:
 build_worker_state` and memoized here;
 * **seed-dependent** state -- the injector's LFSRs, the stimulus RNG,
   the pattern RNG -- is rebuilt every chunk from ``child_seed(
-  chunk_seed, ...)`` by the task's ``run_chunk_warm``, exactly as the
-  cold ``run_chunk`` path derives it.
+  chunk_seed, ...)`` by the task's ``run_chunk_warm`` (a task's cold
+  ``run_chunk`` is ``run_chunk_warm`` on a freshly built state).
 
 Because chunk results then depend only on ``(task fingerprint,
 chunk_seed, count)``, a warm worker is bit-identical to a cold one for
@@ -46,7 +48,7 @@ DEFAULT_MAX_ENTRIES = 4
 
 
 class ChunkTiming(NamedTuple):
-    """Per-chunk setup-vs-compute split reported by warm executors.
+    """Per-chunk setup-vs-compute split reported by the executors.
 
     ``setup_seconds`` is the worker-state build cost this chunk paid
     (zero on a cache hit -- that zero is the amortization being
@@ -155,7 +157,7 @@ class FIFOChunkWorkspace:
       across chunks -- nor survive a chunk that died mid-sleep);
     * the injector is rebuilt from ``child_seed(chunk_seed, "lfsr")``
       and the stimulus stream reseeded from ``child_seed(chunk_seed,
-      "stimulus")``, the exact streams the cold path derives;
+      "stimulus")``;
     * the corrector's event list is cleared.
 
     What deliberately survives: the design's engine cache (and with it
@@ -165,10 +167,10 @@ class FIFOChunkWorkspace:
 
     def __init__(self, task: Any):
         self.task = task
-        # Placeholder seed: the injector and stimulus built here are
-        # thrown away by the first reseed(); only the seed-independent
-        # structure built around them is kept.
-        self.design, self.testbench = task._build_bench(0)
+        # The injector and stimulus built here are thrown away by the
+        # first reseed(); only the seed-independent structure built
+        # around them is kept.
+        self.design, self.testbench = task._build_bench()
         if task.engine == "jit":
             # Pay kernel load/compile once per worker lifetime, inside
             # setup, never inside a timed chunk.

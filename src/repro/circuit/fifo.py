@@ -16,7 +16,7 @@ configuration.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.circuit.base import SequentialCircuit
 from repro.circuit.flipflop import RetentionFlipFlop
@@ -161,9 +161,15 @@ class SyncFIFO(SequentialCircuit):
         """True when the FIFO holds no words."""
         return self.occupancy == 0
 
-    def _update_flags(self) -> None:
-        self._full_flag.force(1 if self.is_full else 0)
-        self._empty_flag.force(1 if self.is_empty else 0)
+    def _pointers(self) -> Tuple[int, int, int]:
+        """``(write, read, occupancy)``, each pointer decoded once."""
+        write = self._read_value(self._wr_ptr)
+        read = self._read_value(self._rd_ptr)
+        return write, read, (write - read) % (1 << self._ptr_bits)
+
+    def _set_flags(self, occupancy: int) -> None:
+        self._full_flag.force(1 if occupancy >= self.depth else 0)
+        self._empty_flag.force(1 if occupancy == 0 else 0)
 
     # ------------------------------------------------------------------
     # Functional operations
@@ -185,26 +191,26 @@ class SyncFIFO(SequentialCircuit):
         if len(word) != self.width:
             raise ValueError(
                 f"expected a {self.width}-bit word, got {len(word)} bits")
-        if self.is_full:
+        write, read, occupancy = self._pointers()
+        if occupancy >= self.depth:
             self._overflow_flag.force(1)
             return False
-        row = self.write_pointer % self.depth
-        for ff, bit in zip(self._memory[row], word):
+        for ff, bit in zip(self._memory[write % self.depth], word):
             v = int(bit)
             if v not in (0, 1):
                 raise ValueError(f"data bits must be 0 or 1, got {bit!r}")
             ff.force(v)
-        self._write_value(self._wr_ptr,
-                          (self.write_pointer + 1) % (1 << self._ptr_bits))
-        self._update_flags()
+        self._write_value(self._wr_ptr, (write + 1) % (1 << self._ptr_bits))
+        self._set_flags(occupancy + 1)
         return True
 
     def pop(self) -> Optional[List[int]]:
         """Read one word; returns None (and sets underflow) when empty."""
-        if self.is_empty:
+        _, read, occupancy = self._pointers()
+        if occupancy == 0:
             self._underflow_flag.force(1)
             return None
-        row = self.read_pointer % self.depth
+        row = read % self.depth
         word: List[int] = []
         for ff in self._memory[row]:
             bit = ff.q
@@ -212,9 +218,8 @@ class SyncFIFO(SequentialCircuit):
                 raise FIFOError(
                     f"stored data in row {row} holds an unknown value")
             word.append(bit)
-        self._write_value(self._rd_ptr,
-                          (self.read_pointer + 1) % (1 << self._ptr_bits))
-        self._update_flags()
+        self._write_value(self._rd_ptr, (read + 1) % (1 << self._ptr_bits))
+        self._set_flags(occupancy - 1)
         return word
 
     def push_int(self, value: int) -> bool:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.correction_capability import CorrectionCounters
 from repro.campaigns.executors import (
+    EXECUTOR_KINDS,
     ChunkExecutionError,
     ProcessExecutor,
     SerialExecutor,
@@ -56,10 +57,11 @@ class FailingTask(TrialTask):
         return super().run_chunk(chunk_seed, num_sequences)
 
 
-def _sampler_task(mode: str) -> FIFOValidationCampaignTask:
+def _sampler_task(mode: str,
+                  pattern: str = "burst") -> FIFOValidationCampaignTask:
     """A tiny Fig. 8 task in one of the three sampler modes."""
     common = dict(width=4, depth=4, codes=("hamming(7,4)", "crc16"),
-                  num_chains=4, pattern="burst", burst_size=2,
+                  num_chains=4, pattern=pattern, burst_size=2,
                   words_per_sequence=2)
     if mode == "scalar":
         return FIFOValidationCampaignTask(engine="packed", **common)
@@ -88,17 +90,26 @@ class TestExecutorEquivalence:
     def test_sampler_modes_identical_across_executors(self, mode):
         if mode == "array":
             pytest.importorskip("numpy")
-        task = _sampler_task(mode)
-        reference = ShardedCampaignRunner(
-            task, 12, seed=20100308, chunk_size=4,
-            executor="serial").run()
-        assert reference.stats.num_sequences == 12
-        for spec, workers in (("thread", 2), ("thread", 4),
-                              ("process", 2), ("process", 4)):
-            result = ShardedCampaignRunner(
-                task, 12, seed=20100308, chunk_size=4,
-                num_workers=workers, executor=spec).run()
-            assert result == reference, (mode, spec, workers)
+        for pattern in ("single", "burst", "multiple"):
+            task = _sampler_task(mode, pattern)
+            # Reference: cold per-chunk run_chunk calls, folded in order.
+            reference = task.empty_result()
+            for entry in ChunkPlan.build(20100308, 12, 4).entries:
+                reference.merge(task.run_chunk(entry.chunk_seed,
+                                               entry.count))
+            assert reference.stats.num_sequences == 12
+            for spec in EXECUTOR_KINDS:
+                for workers in WORKER_COUNTS:
+                    snapshots = []
+                    result = ShardedCampaignRunner(
+                        task, 12, seed=20100308, chunk_size=4,
+                        num_workers=workers, executor=spec,
+                        progress_callback=snapshots.append).run()
+                    where = (mode, pattern, spec, workers)
+                    assert result == reference, where
+                    # Every built-in executor reports the timing split.
+                    assert snapshots[-1].setup_seconds > 0.0, where
+                    assert snapshots[-1].compute_seconds > 0.0, where
 
     @given(seed=st.integers(0, 2**32), chunk=st.integers(1, 9))
     @settings(max_examples=20, deadline=None)

@@ -118,3 +118,98 @@ class TestRetentionInteraction:
         fifo.power_off_all()
         with pytest.raises(FIFOError):
             fifo.pop()
+
+
+class _PropertyFIFO(SyncFIFO):
+    """Reference push/pop that decode the pointers through the public
+    properties (``is_full``, ``write_pointer``, ...) on every use: the
+    oracle for the single-decode ``push``/``pop``."""
+
+    def _flags_from_properties(self):
+        self._full_flag.force(1 if self.is_full else 0)
+        self._empty_flag.force(1 if self.is_empty else 0)
+
+    def push(self, word):
+        if len(word) != self.width:
+            raise ValueError("bad width")
+        if self.is_full:
+            self._overflow_flag.force(1)
+            return False
+        row = self.write_pointer % self.depth
+        for ff, bit in zip(self._memory[row], word):
+            ff.force(int(bit))
+        self._write_value(self._wr_ptr,
+                          (self.write_pointer + 1) % (1 << self._ptr_bits))
+        self._flags_from_properties()
+        return True
+
+    def pop(self):
+        if self.is_empty:
+            self._underflow_flag.force(1)
+            return None
+        row = self.read_pointer % self.depth
+        word = []
+        for ff in self._memory[row]:
+            if ff.q is None:
+                raise FIFOError(
+                    f"stored data in row {row} holds an unknown value")
+            word.append(ff.q)
+        self._write_value(self._rd_ptr,
+                          (self.read_pointer + 1) % (1 << self._ptr_bits))
+        self._flags_from_properties()
+        return word
+
+
+class TestPointerDecodeEquivalence:
+    """``push``/``pop`` read each pointer once per call; over random
+    push/pop/reset sequences with pointer upsets and unknown values
+    they must leave exactly the state the property-based model
+    leaves, including overflow, underflow and pointer wrap."""
+
+    @staticmethod
+    def _apply(fifo, op):
+        kind, arg = op
+        try:
+            if kind == "push":
+                return fifo.push_int(arg)
+            if kind == "pop":
+                return fifo.pop_int()
+            if kind == "reset":
+                return fifo.reset()
+            if kind == "flip":
+                return fifo.registers[arg].flip()
+            return fifo.registers[arg].force(None)
+        except FIFOError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("depth", (4, 3, 1))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sequences_match_the_property_model(self, depth, seed):
+        import random
+
+        rng = random.Random(seed)
+        fast, model = SyncFIFO(3, depth), _PropertyFIFO(3, depth)
+        control = range(3 * depth, fast.num_registers)
+        overflows = wraps = 0
+        for _ in range(600):
+            roll = rng.random()
+            if roll < 0.5:
+                op = ("push", rng.randrange(8))
+            elif roll < 0.85:
+                op = ("pop", None)
+            elif roll < 0.88:
+                op = ("reset", None)
+            elif roll < 0.97:
+                op = ("flip", rng.choice(control))
+            else:
+                op = ("unknown", rng.choice(control))
+            before = [ff.q for ff in model._wr_ptr]
+            outcome = self._apply(model, op)
+            assert self._apply(fast, op) == outcome, op
+            assert [ff.q for ff in fast.registers] == \
+                [ff.q for ff in model.registers], op
+            overflows += op[0] == "push" and outcome is False
+            wraps += (op[0] == "push" and outcome is True
+                      and model.write_pointer < sum(
+                          bit << i for i, bit in enumerate(before)))
+        assert overflows and wraps  # both edge cases were exercised
