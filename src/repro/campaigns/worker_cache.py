@@ -185,15 +185,13 @@ class FIFOChunkWorkspace:
 
     def reseed(self, chunk_seed: int) -> None:
         """Restore the bench to its as-built state, seeded for one chunk."""
+        from repro.circuit.flipflop import restore_all_from
         from repro.core.controller import MonitoredPowerGatingController
         from repro.faults.injector import ScanErrorInjector
         from repro.power.domain import PowerDomain
 
         design = self.design
-        for flop, (q0, retention0) in zip(self._flops, self._pristine):
-            flop.power_on()
-            flop.force(q0)
-            flop.force_retention(retention0)
+        restore_all_from(self._flops, self._pristine)
         design.controller = MonitoredPowerGatingController()
         # The task builds its design with default power-domain
         # configuration (no switches/rlc/upset-model override), so a

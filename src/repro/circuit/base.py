@@ -19,6 +19,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence
 
+from repro.circuit import flipflop
 from repro.circuit.flipflop import RetentionFlipFlop
 from repro.circuit.netlist import Netlist
 from repro.circuit.state import StateSnapshot
@@ -61,8 +62,7 @@ class SequentialCircuit(ABC):
         if len(values) != len(regs):
             raise ValueError(
                 f"expected {len(regs)} register values, got {len(values)}")
-        for ff, value in zip(regs, values):
-            ff.force(value)
+        flipflop.load_flops(regs, values)
 
     def load_snapshot(self, snapshot: StateSnapshot) -> None:
         """Overwrite every register from a snapshot."""
@@ -70,31 +70,26 @@ class SequentialCircuit(ABC):
 
     def reset_registers(self, value: int = 0) -> None:
         """Reset every register to ``value``."""
-        for ff in self.registers:
-            ff.reset(value)
+        flipflop.force_all(self.registers, value)
 
     # ------------------------------------------------------------------
     # Retention sequencing (used by the power-gating controller)
     # ------------------------------------------------------------------
     def retain_all(self) -> None:
         """Assert RETAIN on every register (master -> retention latch)."""
-        for ff in self.registers:
-            ff.retain()
+        flipflop.retain_flops(self.registers)
 
     def restore_all(self) -> None:
         """De-assert RETAIN on every register (retention latch -> master)."""
-        for ff in self.registers:
-            ff.restore()
+        flipflop.restore_flops(self.registers)
 
     def power_off_all(self) -> None:
         """Collapse the gated rail under every register's master stage."""
-        for ff in self.registers:
-            ff.power_off()
+        flipflop.power_off_flops(self.registers)
 
     def power_on_all(self) -> None:
         """Re-energise the gated rail under every register's master stage."""
-        for ff in self.registers:
-            ff.power_on()
+        flipflop.power_on_flops(self.registers)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, registers={self.num_registers})"

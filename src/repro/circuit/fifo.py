@@ -19,8 +19,17 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.circuit.base import SequentialCircuit
-from repro.circuit.flipflop import RetentionFlipFlop
+from repro.circuit.flipflop import (
+    RetentionFlipFlop,
+    force_all,
+    load_flops,
+    pack_flops,
+)
 from repro.circuit.netlist import Netlist, PortDirection
+
+
+#: The values a data bit may take.
+_BITS = frozenset((0, 1))
 
 
 class FIFOError(RuntimeError):
@@ -66,11 +75,15 @@ class SyncFIFO(SequentialCircuit):
         self._overflow_flag = RetentionFlipFlop(name=f"{name}.overflow", init=0)
         self._underflow_flag = RetentionFlipFlop(name=f"{name}.underflow", init=0)
 
+        data = [ff for row in self._memory for ff in row]
         self._registers = (
-            [ff for row in self._memory for ff in row]
-            + self._wr_ptr + self._rd_ptr
+            data + self._wr_ptr + self._rd_ptr
             + [self._full_flag, self._empty_flag,
                self._overflow_flag, self._underflow_flag])
+        #: Every register a reset clears (all but the empty flag).
+        self._cleared_on_reset = (
+            data + self._wr_ptr + self._rd_ptr
+            + [self._full_flag, self._overflow_flag, self._underflow_flag])
         self._netlist = self._build_netlist()
 
     # ------------------------------------------------------------------
@@ -121,19 +134,16 @@ class SyncFIFO(SequentialCircuit):
     # ------------------------------------------------------------------
     @staticmethod
     def _read_value(flops: Sequence[RetentionFlipFlop]) -> int:
-        value = 0
-        for i, ff in enumerate(flops):
-            bit = ff.q
-            if bit is None:
-                raise FIFOError(
-                    f"register {ff.name} holds an unknown value")
-            value |= (bit & 1) << i
+        value, known = pack_flops(flops)
+        if known != (1 << len(flops)) - 1:
+            unknown = next(ff for ff in flops if ff.q is None)
+            raise FIFOError(
+                f"register {unknown.name} holds an unknown value")
         return value
 
     @staticmethod
     def _write_value(flops: Sequence[RetentionFlipFlop], value: int) -> None:
-        for i, ff in enumerate(flops):
-            ff.force((value >> i) & 1)
+        load_flops(flops, [(value >> i) & 1 for i in range(len(flops))])
 
     @property
     def write_pointer(self) -> int:
@@ -176,15 +186,8 @@ class SyncFIFO(SequentialCircuit):
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Synchronous reset: clears storage, pointers and flags."""
-        for row in self._memory:
-            for ff in row:
-                ff.reset(0)
-        self._write_value(self._wr_ptr, 0)
-        self._write_value(self._rd_ptr, 0)
-        self._full_flag.force(0)
+        force_all(self._cleared_on_reset, 0)
         self._empty_flag.force(1)
-        self._overflow_flag.force(0)
-        self._underflow_flag.force(0)
 
     def push(self, word: Sequence[int]) -> bool:
         """Write one word; returns False (and sets overflow) when full."""
@@ -195,11 +198,14 @@ class SyncFIFO(SequentialCircuit):
         if occupancy >= self.depth:
             self._overflow_flag.force(1)
             return False
-        for ff, bit in zip(self._memory[write % self.depth], word):
-            v = int(bit)
-            if v not in (0, 1):
-                raise ValueError(f"data bits must be 0 or 1, got {bit!r}")
-            ff.force(v)
+        values = word
+        if not _BITS.issuperset(word):
+            values = [int(bit) for bit in word]
+            for bit, v in zip(word, values):
+                if v not in (0, 1):
+                    raise ValueError(
+                        f"data bits must be 0 or 1, got {bit!r}")
+        load_flops(self._memory[write % self.depth], values)
         self._write_value(self._wr_ptr, (write + 1) % (1 << self._ptr_bits))
         self._set_flags(occupancy + 1)
         return True

@@ -12,12 +12,34 @@ These models are *cycle-level*: they expose ``capture`` / ``shift``
 operations rather than modelling individual transistors.  Supply-droop
 induced corruption of the retention latch is applied externally by the
 fault models in :mod:`repro.faults` and :mod:`repro.power.retention`.
+
+Bulk operations
+---------------
+
+A campaign batch sleeps and wakes the whole register file, resets the
+FIFO's data array and packs every scan chain; through the per-flop
+methods that is several thousand Python method calls per batch.  The
+module-level helpers below make one tight pass over a flop list and
+apply the matching method's state change inline: :func:`sleep_all`
+(retain + power off) and :func:`wake_all` (power on + restore) for the
+sleep/wake cycle, their single steps (:func:`retain_flops`,
+:func:`power_off_flops`, :func:`power_on_flops`,
+:func:`restore_flops`), :func:`force_all` and :func:`load_flops` for
+resets and row writes, :func:`restore_all_from` for rewinding a bench
+to a pristine snapshot, and :func:`pack_flops` for packing a chain.
+Each leaves every flop's ``q``, ``retention_value`` and ``power``
+exactly as the per-flop method sequence it replaces and raises the
+same errors, but validates before it mutates anything.  They live
+here, next to the ``__slots__`` they touch, and are the only code
+outside the methods that reads or writes ``_q``, ``_retention`` or
+``_power`` -- the project linter's ``flop-slots`` rule enforces that,
+so a change to the slot layout has one module to update.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 
 class PowerState(enum.Enum):
@@ -192,4 +214,143 @@ class RetentionFlipFlop(ScanFlipFlop):
         self._retention = self._check(value)
 
 
-__all__ = ["PowerState", "DFlipFlop", "ScanFlipFlop", "RetentionFlipFlop"]
+# -- bulk operations ---------------------------------------------------
+#: The values a flop may hold (``_check``'s accepted results).
+_FLOP_VALUES = frozenset((0, 1, None))
+#: Element types that need no ``int()`` coercion to be stored.
+_STORED_TYPES = frozenset((int, type(None)))
+
+
+def _checked(values: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
+    """``values`` as :meth:`DFlipFlop.force` would store them, raising
+    its ``ValueError`` on the first illegal value."""
+    if _FLOP_VALUES.issuperset(values) and \
+            _STORED_TYPES.issuperset(map(type, values)):
+        return values
+    return [DFlipFlop._check(value) for value in values]
+
+
+def _require_powered(flops: Sequence[RetentionFlipFlop],
+                     action: str) -> None:
+    """Raise ``action``'s ``RuntimeError`` for the first powered-off
+    flop (the message of :meth:`RetentionFlipFlop.retain`/``restore``)."""
+    off = PowerState.OFF
+    for ff in flops:
+        if ff._power is off:
+            raise RuntimeError(
+                f"cannot {action} {ff.name!r}: master is powered off")
+
+
+def retain_flops(flops: Sequence[RetentionFlipFlop]) -> None:
+    """``retain()`` on every flop."""
+    _require_powered(flops, "retain")
+    for ff in flops:
+        ff._retention = ff._q
+
+
+def power_off_flops(flops: Sequence[RetentionFlipFlop]) -> None:
+    """``power_off()`` on every flop."""
+    off = PowerState.OFF
+    for ff in flops:
+        ff._power = off
+        ff._q = None
+
+
+def power_on_flops(flops: Sequence[RetentionFlipFlop]) -> None:
+    """``power_on()`` on every flop."""
+    on = PowerState.ON
+    for ff in flops:
+        ff._power = on
+
+
+def restore_flops(flops: Sequence[RetentionFlipFlop]) -> None:
+    """``restore()`` on every flop."""
+    _require_powered(flops, "restore")
+    for ff in flops:
+        ff._q = ff._retention
+
+
+def sleep_all(flops: Sequence[RetentionFlipFlop]) -> None:
+    """:func:`retain_flops` then :func:`power_off_flops`, fused into
+    one pass after the power check."""
+    _require_powered(flops, "retain")
+    off = PowerState.OFF
+    for ff in flops:
+        ff._retention = ff._q
+        ff._power = off
+        ff._q = None
+
+
+def wake_all(flops: Sequence[RetentionFlipFlop]) -> None:
+    """:func:`power_on_flops` then :func:`restore_flops`, fused into
+    one pass (a freshly powered flop always restores)."""
+    on = PowerState.ON
+    for ff in flops:
+        ff._power = on
+        ff._q = ff._retention
+
+
+def force_all(flops: Sequence[DFlipFlop], value: Optional[int]) -> None:
+    """``force(value)`` (equivalently ``reset(value)``) on every flop."""
+    value = DFlipFlop._check(value)
+    for ff in flops:
+        ff._q = value
+
+
+def load_flops(flops: Sequence[DFlipFlop],
+               values: Sequence[Optional[int]]) -> None:
+    """``flops[i].force(values[i])`` for each pair (``zip`` order);
+    every value is validated before any flop is written."""
+    for ff, value in zip(flops, _checked(values)):
+        ff._q = value
+
+
+def restore_all_from(flops: Sequence[RetentionFlipFlop],
+                     snapshot: Sequence[Tuple[Optional[int],
+                                              Optional[int]]]) -> None:
+    """Put every flop back to a snapshot of ``(q, retention_value)``
+    pairs with its rail on: ``power_on()``, ``force(q)``,
+    ``force_retention(retention_value)`` per flop.
+
+    The snapshot is taken from flops (``[(f.q, f.retention_value) for
+    f in flops]``), so its values are already valid.
+    """
+    on = PowerState.ON
+    for ff, (q, retention) in zip(flops, snapshot):
+        ff._power = on
+        ff._q = q
+        ff._retention = retention
+
+
+def pack_flops(flops: Sequence[DFlipFlop]) -> Tuple[int, int]:
+    """``pack_state([f.q for f in flops])``: bit ``i`` of ``state`` is
+    ``flops[i].q``; an unknown flop has a 0 ``known`` bit and a 0
+    ``state`` bit."""
+    state = known = 0
+    bit = 1
+    for ff in flops:
+        q = ff._q
+        if q is not None:
+            known |= bit
+            if q:
+                state |= bit
+        bit <<= 1
+    return state, known
+
+
+__all__ = [
+    "PowerState",
+    "DFlipFlop",
+    "ScanFlipFlop",
+    "RetentionFlipFlop",
+    "retain_flops",
+    "power_off_flops",
+    "power_on_flops",
+    "restore_flops",
+    "sleep_all",
+    "wake_all",
+    "force_all",
+    "load_flops",
+    "restore_all_from",
+    "pack_flops",
+]

@@ -42,10 +42,10 @@ back to the scan-out side.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.circuit.base import SequentialCircuit
-from repro.circuit.flipflop import ScanFlipFlop
+from repro.circuit.flipflop import ScanFlipFlop, load_flops, pack_flops
 
 
 class ScanChain:
@@ -70,6 +70,15 @@ class ScanChain:
         """The chain's flip-flops from scan-in side to scan-out side."""
         return list(self._flops)
 
+    def flop(self, position: int) -> ScanFlipFlop:
+        """The flip-flop at scan ``position`` (no list copy)."""
+        return self._flops[position]
+
+    def pack(self) -> Tuple[int, int]:
+        """The chain state as packed ``(state, known)`` integers (see
+        :func:`~repro.fastpath.packed_chain.pack_state`)."""
+        return pack_flops(self._flops)
+
     def __len__(self) -> int:
         return len(self._flops)
 
@@ -87,11 +96,9 @@ class ScanChain:
     def shift(self, scan_in: Optional[int]) -> Optional[int]:
         """One scan-shift clock cycle; returns the scanned-out bit."""
         out = self._flops[-1].q
-        # Capture old values first so that the shift is simultaneous.
-        previous = [ff.q for ff in self._flops]
-        self._flops[0].force(scan_in)
-        for i in range(1, len(self._flops)):
-            self._flops[i].force(previous[i - 1])
+        # Every flop captures its predecessor's old value at once.
+        load_flops(self._flops,
+                   [scan_in] + [ff.q for ff in self._flops[:-1]])
         return out
 
     def shift_many(self, scan_in_bits: Sequence[Optional[int]]
@@ -108,8 +115,7 @@ class ScanChain:
         if len(values) != len(self._flops):
             raise ValueError(
                 f"expected {len(self._flops)} values, got {len(values)}")
-        for ff, value in zip(self._flops, values):
-            ff.force(value)
+        load_flops(self._flops, values)
 
     def circulate(self) -> List[Optional[int]]:
         """Shift the chain through one full rotation.

@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.circuit.base import SequentialCircuit
-from repro.circuit.flipflop import RetentionFlipFlop
+from repro.circuit.flipflop import (
+    RetentionFlipFlop,
+    load_flops,
+    sleep_all,
+    wake_all,
+)
 from repro.circuit.netlist import Netlist
 from repro.circuit.scan import ScanChain
 from repro.circuit.state import StateSnapshot
@@ -416,17 +421,13 @@ class ProtectedDesign:
         """Gate the domain off: retention save + power-off, padding
         cells included (every cycle variant shares this block)."""
         self.domain.enter_sleep()
-        for pad in self._padding:
-            pad.retain()
-            pad.power_off()
+        sleep_all(self._padding)
 
     def _wake_gate_on(self) -> WakeEvent:
         """Re-energise the domain and restore from retention, padding
         cells included; returns the wake-up's rush-current record."""
         wake_event = self.domain.wake_up()
-        for pad in self._padding:
-            pad.power_on()
-            pad.restore()
+        wake_all(self._padding)
         return wake_event
 
     def sleep_wake_cycle(self,
@@ -816,8 +817,7 @@ class ProtectedDesign:
             outcomes.append(self.sleep_wake_cycle(
                 injection=pattern, inject_phase=inject_phase,
                 auto_recover=True))
-            for flop, value in zip(flops, snapshot):
-                flop.force(value)
+            load_flops(flops, snapshot)
         # Leave the shared corrector holding the whole batch's events
         # (each scalar cycle cleared it), matching the batched path so
         # design.corrector reads the same aggregate on every engine.

@@ -84,7 +84,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description=("Project-invariant static analyzer: determinism, "
                      "engine capability consistency, fingerprint "
                      "completeness, uint64 dtype discipline, task "
-                     "pickle-safety, getattr-string drift."))
+                     "pickle-safety, getattr-string drift, flop-slot "
+                     "ownership."))
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to scan (default: src)")

@@ -21,6 +21,7 @@ from repro.devtools.lint.rules.dtype import RULE as DTYPE_RULE
 from repro.devtools.lint.rules.fingerprint import (
     RULE as FINGERPRINT_RULE,
 )
+from repro.devtools.lint.rules.flop_slots import RULE as FLOP_SLOTS_RULE
 from repro.devtools.lint.rules.getattr_drift import (
     RULE as GETATTR_DRIFT_RULE,
 )
@@ -35,6 +36,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     DTYPE_RULE,
     PICKLE_RULE,
     GETATTR_DRIFT_RULE,
+    FLOP_SLOTS_RULE,
 )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.circuit.scan import ScanChain
-from repro.fastpath.packed_chain import pack_state
 
 
 def pack_chains(chains: Sequence[ScanChain]) -> Tuple[List[int], List[int]]:
@@ -21,7 +20,7 @@ def pack_chains(chains: Sequence[ScanChain]) -> Tuple[List[int], List[int]]:
     states: List[int] = []
     knowns: List[int] = []
     for chain in chains:
-        state, known = pack_state([flop.q for flop in chain.flops])
+        state, known = chain.pack()
         states.append(state)
         knowns.append(known)
     return states, knowns
@@ -44,12 +43,11 @@ def write_back_chains(chains: Sequence[ScanChain], old_states: Sequence[int],
         stale = (old ^ new) | (full & ~known)
         if not stale:
             continue
-        flops = chain.flops
         while stale:
             low = stale & -stale
             stale ^= low
             i = low.bit_length() - 1
-            flops[i].force((new >> i) & 1)
+            chain.flop(i).force((new >> i) & 1)
 
 
 def replicate_states(states: Sequence[int], chain_length: int,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.circuit.base import SequentialCircuit
+from repro.circuit.flipflop import sleep_all, wake_all
 from repro.power.retention import RetentionUpsetModel
 from repro.power.rush_current import RLCParameters, RushCurrentModel
 
@@ -153,8 +154,7 @@ class PowerDomain:
         """Save state into retention latches and gate the domain off."""
         if self._state is DomainState.SLEEP:
             raise RuntimeError("domain is already asleep")
-        self.circuit.retain_all()
-        self.circuit.power_off_all()
+        sleep_all(self.circuit.registers)
         self._state = DomainState.SLEEP
 
     def wake_up(self) -> WakeEvent:
@@ -182,8 +182,7 @@ class PowerDomain:
             flipped = self.upset_model.sample_upsets(
                 self.circuit.registers, peak_droop)
             upsets = tuple(flipped)
-        self.circuit.power_on_all()
-        self.circuit.restore_all()
+        wake_all(self.circuit.registers)
         self._state = DomainState.ACTIVE
         event = WakeEvent(
             peak_current_a=peak_current,

@@ -36,7 +36,8 @@ class TestTreeClean:
     def test_rule_registry_is_complete(self):
         ids = set(rules_by_id())
         assert ids == {"determinism", "capability", "fingerprint",
-                       "dtype", "pickle", "getattr-drift"}
+                       "dtype", "pickle", "getattr-drift",
+                       "flop-slots"}
         assert len(ALL_RULES) == len(ids)
 
 
@@ -109,6 +110,16 @@ class TestSeedDefectsFailTheCli:
         assert main([str(tmp_path / "src"), "--no-reflection",
                      "-q"]) == 1
         assert "[capability]" in capsys.readouterr().out
+
+    def test_flop_slot_written_outside_flipflop(self, tmp_path, capsys):
+        _write(tmp_path, "src/repro/power/fast_sleep.py", """\
+            def sleep(flops):
+                for ff in flops:
+                    ff._q = None
+            """)
+        assert main([str(tmp_path / "src"), "--no-reflection",
+                     "-q"]) == 1
+        assert "[flop-slots]" in capsys.readouterr().out
 
     def test_clean_scratch_tree_passes(self, tmp_path, capsys):
         _write(tmp_path, "src/repro/engines/fine.py", """\
