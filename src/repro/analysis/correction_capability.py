@@ -15,11 +15,23 @@ count grows.
 Both a Monte-Carlo campaign (matching the paper's methodology) and the
 closed-form expectation are provided; the property-based tests check
 they agree.
+
+The Monte-Carlo trials run one chunk at a time through a
+:data:`SEQUENCE_ENGINES` entry.  ``reference`` calls ``random.sample``
+once per trial.  ``packed`` reads the same Mersenne-Twister words of
+the chunk's ``random.Random`` in bulk (one ``getrandbits`` call per
+few thousand words) and replays ``random.sample``'s draw rules on
+them, so it picks exactly the same error positions and returns the
+same counters, without a Python method call per draw.  Both are
+stdlib-only.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -90,53 +102,6 @@ def analytic_correction_probability(code: HammingCode, num_bits: int,
     return probability
 
 
-def _simulate_sequence(code: HammingCode, num_bits: int, num_errors: int,
-                       rng: random.Random) -> Tuple[int, bool]:
-    """One Monte-Carlo trial; returns (corrected bits, fully corrected)."""
-    positions = rng.sample(range(num_bits), num_errors)
-    codeword_of = [pos // code.n for pos in positions]
-    counts: Dict[int, int] = {}
-    for word in codeword_of:
-        counts[word] = counts.get(word, 0) + 1
-    corrected = sum(1 for word in codeword_of if counts[word] == 1)
-    return corrected, corrected == num_errors
-
-
-def _simulate_sequence_packed(code: HammingCode, num_bits: int,
-                              num_errors: int,
-                              rng: random.Random) -> Tuple[int, bool]:
-    """Bitmask variant of :func:`_simulate_sequence` (same RNG draws).
-
-    Codeword hits are tracked in two integers -- ``seen`` (word hit at
-    least once) and ``multi`` (word hit more than once) -- instead of a
-    dict, so the per-trial cost is a handful of shift/mask operations.
-    The random draw is identical, so for the same ``rng`` state the two
-    simulators return exactly the same result.
-    """
-    positions = rng.sample(range(num_bits), num_errors)
-    n = code.n
-    seen = 0
-    multi = 0
-    for pos in positions:
-        bit = 1 << (pos // n)
-        multi |= seen & bit
-        seen |= bit
-    corrected = sum(1 for pos in positions
-                    if not (multi >> (pos // n)) & 1)
-    return corrected, corrected == num_errors
-
-
-#: Sequence simulators selectable via this study's ``engine`` option.
-#: Deliberately separate from the design-engine registry of
-#: :mod:`repro.engines`: these simulate abstract codeword collisions
-#: over a 1000-bit sequence, not a protected design, so engines
-#: registered there do not apply here.
-SEQUENCE_ENGINES = {
-    "reference": _simulate_sequence,
-    "packed": _simulate_sequence_packed,
-}
-
-
 @dataclass
 class CorrectionCounters:
     """Mergeable counters of one correction-capability shard."""
@@ -166,6 +131,174 @@ class CorrectionCounters:
                    fully_corrected=int(payload["fully_corrected"]))
 
 
+def _reference_chunk(code: HammingCode, num_bits: int, num_errors: int,
+                     rng: random.Random,
+                     num_sequences: int) -> CorrectionCounters:
+    """One chunk of trials, one ``rng.sample`` call per trial -- the
+    oracle the ``packed`` kernel is checked against."""
+    counters = CorrectionCounters()
+    for _ in range(num_sequences):
+        positions = rng.sample(range(num_bits), num_errors)
+        codeword_of = [pos // code.n for pos in positions]
+        counts: Dict[int, int] = {}
+        for word in codeword_of:
+            counts[word] = counts.get(word, 0) + 1
+        corrected = sum(1 for word in codeword_of if counts[word] == 1)
+        counters.sequences += 1
+        counters.corrected_bits += corrected
+        counters.fully_corrected += corrected == num_errors
+    return counters
+
+
+#: Most Mersenne-Twister words the packed kernel reads at once; bounds
+#: its memory for any chunk size.
+_WORD_BLOCK = 1 << 14
+
+
+def _mt_words(rng: random.Random, count: int) -> array:
+    """The next ``count`` 32-bit Mersenne-Twister outputs of ``rng``, in
+    generation order.
+
+    ``getrandbits(32 * count)`` places output ``i`` at bits
+    ``32 i .. 32 i + 31`` of the result, so its little-endian bytes
+    are the words in order; one call replaces ``count`` calls.  (An
+    ``array("I")`` item is 32 bits on every supported platform.)
+    """
+    words = array("I", rng.getrandbits(32 * count)
+                  .to_bytes(4 * count, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _sample_setsize(num_errors: int) -> int:
+    """``random.sample``'s pool/set switch point, computed exactly as
+    CPython does: it uses a pool list when the population is at most
+    this size and a set of picks otherwise."""
+    setsize = 21
+    if num_errors > 5:
+        setsize += 4 ** math.ceil(math.log(num_errors * 3, 4))
+    return setsize
+
+
+def _corrected(codewords: Sequence[int]) -> int:
+    """Errors of one trial that are alone in their codeword, from the
+    trial's codeword indices (bitmask collision count: the masks are
+    as wide as the largest index)."""
+    seen = multi = 0
+    for word in codewords:
+        bit = 1 << word
+        multi |= seen & bit
+        seen |= bit
+    return (seen ^ multi).bit_count()
+
+
+def _packed_chunk(code: HammingCode, num_bits: int, num_errors: int,
+                  rng: random.Random,
+                  num_sequences: int) -> CorrectionCounters:
+    """One chunk of trials on bulk-read Mersenne-Twister words.
+
+    Draws exactly the positions :func:`_reference_chunk` draws -- the
+    same words of the same ``rng``, through the rules of
+    ``random.sample``: ``_randbelow(n)`` keeps ``getrandbits(k)`` for
+    ``k = n.bit_length()`` (for ``k <= 32`` the top ``k`` bits of one
+    word) and redraws values ``>= n``; the set method also redraws a
+    cell already picked.  Over a population larger than
+    :func:`_sample_setsize` every draw is ``_randbelow(num_bits)``, so
+    the accepted values form one stream, filtered in bulk; a trial
+    takes the next ``num_errors`` of them whenever they are distinct
+    and otherwise walks the stream skipping repeats.  Populations that
+    ``random.sample`` draws with its pool method, and populations above
+    2**32, run :func:`_reference_chunk` itself.  Returns counters equal
+    to the reference's for the same ``rng`` state.
+    """
+    m = num_errors
+    k = num_bits.bit_length()
+    if num_bits <= _sample_setsize(m) or k > 32:
+        return _reference_chunk(code, num_bits, m, rng, num_sequences)
+    n = code.n
+    shift = 32 - k
+    values: List[int] = []
+    codewords: List[int] = []
+    i = 0
+    corrected_bits = fully_corrected = 0
+    left = num_sequences
+    while left:
+        last = len(values) - m
+        while left and i <= last:
+            # Distinct codewords imply distinct cells: nothing to redraw
+            # and every error corrected.
+            hits = codewords[i:i + m]
+            if len(set(hits)) == m:
+                corrected = m
+            elif len(set(values[i:i + m])) == m:
+                corrected = _corrected(hits)
+            else:
+                break  # a repeated cell: redrawn, walk it below
+            i += m
+            corrected_bits += corrected
+            fully_corrected += corrected == m
+            left -= 1
+        if not left:
+            break
+        picked: List[int] = []
+        while len(picked) < m:
+            if i == len(values):
+                # Enough words for the remaining trials (with margin
+                # for rejections and repeats), up to one block.
+                count = min(_WORD_BLOCK, 64 + int(
+                    left * m * (1 << k) / num_bits * 1.05))
+                values = [v for v in (w >> shift
+                                      for w in _mt_words(rng, count))
+                          if v < num_bits]
+                codewords = [v // n for v in values]
+                i = 0
+                continue
+            value = values[i]
+            i += 1
+            if value not in picked:
+                picked.append(value)
+        corrected = _corrected([p // n for p in picked])
+        corrected_bits += corrected
+        fully_corrected += corrected == m
+        left -= 1
+    return CorrectionCounters(num_sequences, corrected_bits,
+                              fully_corrected)
+
+
+#: Chunk simulators selectable via this study's ``engine`` option:
+#: ``(code, num_bits, num_errors, rng, num_sequences) -> counters``.
+#: Deliberately separate from the design-engine registry of
+#: :mod:`repro.engines`: these simulate abstract codeword collisions
+#: over a 1000-bit sequence, not a protected design, so engines
+#: registered there do not apply here.
+SEQUENCE_ENGINES = {
+    "reference": _reference_chunk,
+    "packed": _packed_chunk,
+}
+
+
+def _check_study(error_counts: Sequence[int], num_bits: int,
+                engine: str) -> None:
+    """Reject a Fig. 10 study configuration up front, with a clear
+    ``ValueError``: no error counts, a count below 0 or above
+    ``num_bits``, or an engine not in :data:`SEQUENCE_ENGINES`."""
+    if len(error_counts) == 0:
+        raise ValueError("error_counts is empty; name at least one "
+                         "injected-error count")
+    for num_errors in error_counts:
+        if num_errors < 0:
+            raise ValueError(f"cannot inject a negative number of errors "
+                             f"({num_errors})")
+        if num_errors > num_bits:
+            raise ValueError(f"cannot inject more errors than there are "
+                             f"bits ({num_errors} > {num_bits})")
+    if engine not in SEQUENCE_ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; choose from "
+            f"{tuple(SEQUENCE_ENGINES)}")
+
+
 @dataclass(frozen=True)
 class CorrectionCapabilityTask(CampaignTask):
     """One chunk of the Fig. 10 Monte-Carlo study, for the sharded
@@ -177,22 +310,17 @@ class CorrectionCapabilityTask(CampaignTask):
     num_errors: int
     engine: str = "reference"
 
+    def __post_init__(self) -> None:
+        _check_study((self.num_errors,), self.num_bits, self.engine)
+
     def empty_result(self) -> CorrectionCounters:
         return CorrectionCounters()
 
     def run_chunk(self, chunk_seed: int,
                   num_sequences: int) -> CorrectionCounters:
-        simulate = SEQUENCE_ENGINES[self.engine]
-        code = HammingCode(self.code_n, self.code_k)
-        rng = random.Random(chunk_seed)
-        counters = CorrectionCounters()
-        for _ in range(num_sequences):
-            corrected, full = simulate(code, self.num_bits,
-                                       self.num_errors, rng)
-            counters.sequences += 1
-            counters.corrected_bits += corrected
-            counters.fully_corrected += 1 if full else 0
-        return counters
+        return SEQUENCE_ENGINES[self.engine](
+            HammingCode(self.code_n, self.code_k), self.num_bits,
+            self.num_errors, random.Random(chunk_seed), num_sequences)
 
 
 def _submit_curve(scheduler: CampaignScheduler, code: HammingCode,
@@ -251,8 +379,12 @@ def correction_capability_curve(code: HammingCode,
     injected errors); ``sequences`` trades accuracy against runtime
     (the paper used 10^6, the default here is CI-sized and the
     benchmark harness can raise it).  ``engine="packed"`` selects the
-    bitmask trial simulator, which draws the same random positions and
-    therefore returns identical statistics, just faster.
+    bulk chunk kernel: it reads the same Mersenne-Twister words as
+    ``random.sample`` in bulk and replays its draw rules, so it picks
+    the same error positions and returns identical statistics, just
+    faster.  ``error_counts`` must be non-empty with every count in
+    ``0..num_bits``; a bad count or engine raises ``ValueError``
+    before any job is queued.
 
     The per-error-count campaigns run as jobs of one
     :class:`~repro.campaigns.scheduler.CampaignScheduler` sharing a
@@ -265,12 +397,7 @@ def correction_capability_curve(code: HammingCode,
     execution for any worker count and executor kind (given the same
     ``chunk_size``).
     """
-    if num_bits < max(error_counts):
-        raise ValueError("cannot inject more errors than there are bits")
-    if engine not in SEQUENCE_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from "
-            f"{tuple(SEQUENCE_ENGINES)}")
+    _check_study(error_counts, num_bits, engine)
     if scheduler is None:
         scheduler = CampaignScheduler(executor=executor,
                                       num_workers=num_workers)
@@ -306,12 +433,7 @@ def fig10_curves(error_counts: Sequence[int] = tuple(range(1, 11)),
     silently correlating samples that the statistics assume are
     independent.
     """
-    if num_bits < max(error_counts):
-        raise ValueError("cannot inject more errors than there are bits")
-    if engine not in SEQUENCE_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from "
-            f"{tuple(SEQUENCE_ENGINES)}")
+    _check_study(error_counts, num_bits, engine)
     scheduler = CampaignScheduler(executor=executor,
                                   num_workers=num_workers)
     submitted = []

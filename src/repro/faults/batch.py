@@ -208,15 +208,38 @@ class PatternBatch:
                 for cells in locations]
 
 
+#: Bytes of random keys :func:`_distinct_cells` holds at once: the
+#: batch is keyed in row blocks of about this size, one reused buffer.
+_KEY_BLOCK_BYTES = 2 << 20
+
+
 def _distinct_cells(rng, batch_size: int, population: int, draws: int):
     """``draws`` distinct uniform indices out of ``population`` for each
     of ``batch_size`` sequences, as a ``(batch_size, draws)`` array.
 
     Random-key selection: each sequence ranks one row of i.i.d. keys
     and keeps the ``draws`` smallest, which is a uniform without-
-    replacement sample.  Memory is ``batch_size x population`` floats
-    -- fine for scan arrays of a few thousand cells; campaigns over
-    vastly larger state should shrink the group size accordingly.
+    replacement sample.  The keys are the ``(batch_size, population)``
+    matrix of one ``rng.random`` call, but filled in row blocks of
+    about :data:`_KEY_BLOCK_BYTES` into one reused buffer:
+    ``Generator.random`` spends one 64-bit draw per double in C order,
+    so the blocks see exactly the keys of the single big call and the
+    generator ends in the same state.  Memory is ``block x population``
+    floats, independent of the batch size.
+
+    The selection is exact.  A key below the threshold ``t`` is a
+    candidate; a row with at least ``draws`` candidates has its
+    ``draws`` smallest keys among them, so sorting the (short, padded)
+    candidate rows finds them.  Two kinds of rows go to
+    ``np.argpartition`` on the full row instead: rows with fewer than
+    ``draws`` candidates, and rows whose ``draws``-th and
+    ``(draws + 1)``-th keys tie (where the cell *set* depends on how
+    the tie is broken, and argpartition's tie-break is the defined
+    one).  Every row therefore gets the cell set of an argpartition
+    over the whole key matrix; only the order within a row may differ,
+    and every consumer (:func:`pattern_batch_coords`,
+    :func:`pattern_batch_arrays`, :meth:`PatternBatch.patterns`,
+    :meth:`PatternBatch.flips`) is order-insensitive.
     """
     import numpy as np
 
@@ -226,9 +249,46 @@ def _distinct_cells(rng, batch_size: int, population: int, draws: int):
     if draws == population:
         return np.broadcast_to(np.arange(population, dtype=np.int64),
                                (batch_size, population))
-    keys = rng.random((batch_size, population))
-    return np.argpartition(keys, draws - 1, axis=1)[:, :draws] \
-        .astype(np.int64)
+    rows = max(1, min(batch_size, _KEY_BLOCK_BYTES // (8 * population)))
+    keys = np.empty((rows, population), dtype=np.float64)
+    cells = np.empty((batch_size, draws), dtype=np.int64)
+    # About 2.5 expected candidates per draw (plus a few, so one-draw
+    # rows rarely fall back): few rows miss, few candidates to sort.
+    threshold = min(1.0, (2.5 * draws + 4) / population)
+    for start in range(0, batch_size, rows):
+        block = keys[:min(rows, batch_size - start)]
+        rng.random(out=block)
+        _smallest_keys(block, draws, threshold,
+                       cells[start:start + len(block)])
+    return cells
+
+
+def _smallest_keys(keys, draws: int, threshold: float, out) -> None:
+    """Write the columns of each row's ``draws`` smallest ``keys`` into
+    ``out`` (see :func:`_distinct_cells` for why this is exact)."""
+    import numpy as np
+
+    num_rows, population = keys.shape
+    flat = np.flatnonzero(keys < threshold)
+    row = flat // population
+    counts = np.bincount(row, minlength=num_rows)
+    # Pack each row's candidates left-aligned into a padded matrix
+    # (at least draws + 1 wide, so the tie check has a right neighbour).
+    rank = np.arange(flat.size, dtype=np.int64) \
+        - (np.cumsum(counts) - counts)[row]
+    width = max(draws + 1, int(counts.max()))
+    candidate_keys = np.full((num_rows, width), np.inf, dtype=np.float64)
+    candidate_keys[row, rank] = keys.ravel()[flat]
+    candidate_cols = np.zeros((num_rows, width), dtype=np.int64)
+    candidate_cols[row, rank] = flat - row * population
+    order = np.argsort(candidate_keys, axis=1)[:, :draws + 1]
+    ranked = np.take_along_axis(candidate_keys, order, axis=1)
+    out[:] = np.take_along_axis(candidate_cols, order[:, :draws], axis=1)
+    # A tie at the draws-th key; with the inf padding this also flags
+    # every row with fewer than draws candidates (inf == inf).
+    fallback = ranked[:, draws - 1] == ranked[:, draws]
+    for r in np.flatnonzero(fallback).tolist():
+        out[r] = np.argpartition(keys[r], draws - 1)[:draws]
 
 
 def pattern_batch_arrays(batch: "PatternBatch", knowns: Sequence[int],
