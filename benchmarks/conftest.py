@@ -56,6 +56,21 @@ def paper_protected_design(paper_fifo):
                            num_chains=80)
 
 
+def time_interleaved(runs: dict, repeats: int) -> dict:
+    """Min-of-``repeats`` seconds of each callable in ``runs``, the
+    repeats interleaved A, B, A, B, ... after one untimed warm-up call
+    of each, so host drift hits every side alike."""
+    for fn in runs.values():
+        fn()
+    best = {name: float("inf") for name in runs}
+    for _ in range(repeats):
+        for name, fn in runs.items():
+            start = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best
+
+
 def print_section(title: str, body: str) -> None:
     """Print a titled block that survives pytest's output capture (-s)."""
     bar = "=" * max(len(title), 8)

@@ -20,11 +20,10 @@ untimed runs.
 """
 
 import random
-import time
 
 import pytest
 
-from benchmarks.conftest import print_section, record_bench
+from benchmarks.conftest import print_section, record_bench, time_interleaved
 from repro.analysis.correction_capability import SEQUENCE_ENGINES
 from repro.codes.hamming import PAPER_HAMMING_CODES, HammingCode
 
@@ -33,20 +32,6 @@ REPEATS = 7
 SPEEDUP_FLOOR = 1.5
 BATCH, POPULATION, DRAWS = 4096, 1040, 4
 TRIALS, NUM_BITS, ERROR_COUNTS = 313, 1000, (1, 4, 10)
-
-
-def _time_interleaved(runs, repeats):
-    """Min-of-``repeats`` seconds of each callable in ``runs``, the
-    repeats interleaved after one untimed warm-up call of each."""
-    for fn in runs.values():
-        fn()
-    best = {name: float("inf") for name in runs}
-    for _ in range(repeats):
-        for name, fn in runs.items():
-            start = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-    return best
 
 
 def _argpartition_cells(rng, batch_size, population, draws):
@@ -74,7 +59,7 @@ def test_pattern_sampler_speedup():
         assert old_rng.bit_generator.state == new_rng.bit_generator.state
 
     rng = np.random.default_rng(1)
-    best = _time_interleaved({
+    best = time_interleaved({
         "argpartition": lambda: _argpartition_cells(rng, BATCH, POPULATION,
                                                     DRAWS),
         "blocked": lambda: _distinct_cells(rng, BATCH, POPULATION, DRAWS),
@@ -114,7 +99,7 @@ def _chunks(engine):
 def test_fig10_trial_kernel_speedup():
     assert _chunks("packed") == _chunks("reference")
 
-    best = _time_interleaved({
+    best = time_interleaved({
         "reference": lambda: _chunks("reference"),
         "packed": lambda: _chunks("packed"),
     }, REPEATS)

@@ -77,19 +77,25 @@ def main_sharded(num_sequences: int, num_workers: int,
           f"campaigns interleaved fair-share over one shared "
           f"{executor}-pool of {num_workers} workers (packed engine, "
           f"streaming stats)\n")
-    scheduler = CampaignScheduler(executor=executor,
-                                  num_workers=num_workers)
     common = dict(width=32, depth=32, num_chains=80,
                   words_per_sequence=16, engine="packed")
-    single_job = scheduler.submit(
-        FIFOValidationCampaignTask(pattern="single", **common),
-        num_sequences, seed=20100308,
-        progress_callback=progress_printer("single"))
-    multi_job = scheduler.submit(
-        FIFOValidationCampaignTask(pattern="burst", burst_size=4, **common),
-        num_sequences, seed=20100308,
-        progress_callback=progress_printer("burst"))
-    scheduler.run()
+    with CampaignScheduler(executor=executor,
+                           num_workers=num_workers) as scheduler:
+        single_job = scheduler.submit(
+            FIFOValidationCampaignTask(pattern="single", **common),
+            num_sequences, seed=20100308,
+            progress_callback=progress_printer("single"))
+        multi_job = scheduler.submit(
+            FIFOValidationCampaignTask(pattern="burst", burst_size=4,
+                                       **common),
+            num_sequences, seed=20100308,
+            progress_callback=progress_printer("burst"))
+        scheduler.run()
+        # The scheduler memoizes merged results: resubmitting the same
+        # campaign (task fingerprint, seed, size) is served from cache.
+        rerun = scheduler.submit(
+            FIFOValidationCampaignTask(pattern="single", **common),
+            num_sequences, seed=20100308)
 
     print()
     print("=" * 60)
@@ -103,11 +109,6 @@ def main_sharded(num_sequences: int, num_workers: int,
     print("=" * 60)
     print(multi_job.result.summary())
 
-    # The scheduler memoizes merged results: resubmitting the same
-    # campaign (task fingerprint, seed, size) is served from cache.
-    rerun = scheduler.submit(
-        FIFOValidationCampaignTask(pattern="single", **common),
-        num_sequences, seed=20100308)
     assert rerun.from_cache and rerun.result == single_job.result
     print("\nresubmitted the single-error campaign: served from the "
           "scheduler's result cache, no chunks executed")

@@ -32,6 +32,7 @@ import math
 import random
 import sys
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -398,13 +399,14 @@ def correction_capability_curve(code: HammingCode,
     ``chunk_size``).
     """
     _check_study(error_counts, num_bits, engine)
-    if scheduler is None:
-        scheduler = CampaignScheduler(executor=executor,
-                                      num_workers=num_workers)
-    jobs = _submit_curve(scheduler, code, error_counts, num_bits,
-                         sequences, seed, engine, chunk_size,
-                         progress_callback=progress_callback)
-    scheduler.run()
+    # A scheduler built here is closed here; a caller's stays open.
+    owned = (CampaignScheduler(executor=executor, num_workers=num_workers)
+             if scheduler is None else nullcontext(scheduler))
+    with owned as scheduler:
+        jobs = _submit_curve(scheduler, code, error_counts, num_bits,
+                             sequences, seed, engine, chunk_size,
+                             progress_callback=progress_callback)
+        scheduler.run()
     return _curve_results(code, jobs)
 
 
@@ -434,17 +436,17 @@ def fig10_curves(error_counts: Sequence[int] = tuple(range(1, 11)),
     independent.
     """
     _check_study(error_counts, num_bits, engine)
-    scheduler = CampaignScheduler(executor=executor,
-                                  num_workers=num_workers)
     submitted = []
-    for n, k in family:
-        code = HammingCode(n, k)
-        curve_seed = (None if seed is None
-                      else child_seed(seed, "fig10", n, k))
-        submitted.append((code, _submit_curve(
-            scheduler, code, error_counts, num_bits, sequences,
-            curve_seed, engine, chunk_size)))
-    scheduler.run()
+    with CampaignScheduler(executor=executor,
+                           num_workers=num_workers) as scheduler:
+        for n, k in family:
+            code = HammingCode(n, k)
+            curve_seed = (None if seed is None
+                          else child_seed(seed, "fig10", n, k))
+            submitted.append((code, _submit_curve(
+                scheduler, code, error_counts, num_bits, sequences,
+                curve_seed, engine, chunk_size)))
+        scheduler.run()
     return {(code.n, code.k): _curve_results(code, jobs)
             for code, jobs in submitted}
 

@@ -9,21 +9,19 @@ one layer per concern so each can evolve (and be swapped) alone:
   total_sequences, chunk_size)`` and nothing else -- the reason merged
   statistics are bit-identical for any executor and worker count;
 * :mod:`repro.campaigns.executors` -- **where** chunks run: inline
-  (:class:`~repro.campaigns.executors.SerialExecutor`), thread pool
-  (:class:`~repro.campaigns.executors.ThreadExecutor`), process
-  fan-out (:class:`~repro.campaigns.executors.ProcessExecutor`, tasks
-  pickled once per worker), or the **warm persistent pools**
-  (:class:`~repro.campaigns.executors.PersistentProcessExecutor` /
-  :class:`~repro.campaigns.executors.PersistentThreadExecutor`) whose
-  workers, task tables and per-fingerprint state caches survive
-  across calls and scheduler jobs, with failures wrapped as
+  (:class:`~repro.campaigns.executors.SerialExecutor`) or on one
+  **warm pool** whose workers are processes
+  (:class:`~repro.campaigns.executors.PersistentProcessExecutor`) or
+  threads (:class:`~repro.campaigns.executors.PersistentThreadExecutor`);
+  a pool's workers, task tables and per-fingerprint state caches
+  survive across calls and scheduler jobs until its owner closes it,
+  and failures are wrapped as
   :class:`~repro.campaigns.executors.ChunkExecutionError` naming the
   chunk that died;
 * :mod:`repro.campaigns.worker_cache` -- the worker-side memo every
   executor leases chunk state from (for the executor's lifetime on
-  serial, one call per thread on the one-shot thread pool, the worker
-  lifetime on the warm pools): seed-independent heavy state per task
-  fingerprint
+  serial, the worker lifetime on the pools): seed-independent heavy
+  state per task fingerprint
   (:class:`~repro.campaigns.worker_cache.WorkerStateCache`), rebuilt
   seed-dependent streams per chunk, bit-identity preserved;
 * :mod:`repro.campaigns.checkpoints` -- **durability**: the JSON
@@ -69,9 +67,7 @@ from repro.campaigns.executors import (
     ChunkTiming,
     PersistentProcessExecutor,
     PersistentThreadExecutor,
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
 )
 from repro.campaigns.worker_cache import WorkerStateCache
@@ -97,8 +93,6 @@ __all__ = [
     "ChunkExecutor",
     "ChunkTiming",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
     "PersistentThreadExecutor",
     "WorkerStateCache",

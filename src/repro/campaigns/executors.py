@@ -9,49 +9,44 @@ concurrency produces bit-identical merged statistics for the same plan.
 
 Every executor runs chunks through one helper -- lease the task's
 state from a :class:`~repro.campaigns.worker_cache.WorkerStateCache`,
-run ``task.run_chunk_warm``, report a :class:`ChunkTiming` -- and they
-differ only in how long each cache lives.
+run ``task.run_chunk_warm``, report a :class:`ChunkTiming` -- and every
+cache lives as long as the thread or process that owns it.
 
-Five implementations ship, in two families:
-
-**One-shot** (pool per ``submit_jobs`` call):
+Three implementations ship:
 
 * :class:`SerialExecutor` -- inline in the calling thread; the
   ``num_workers == 1`` path.  Its cache lives as long as the executor,
   so only a task's first chunk builds the bench.
-* :class:`ThreadExecutor` -- a ``concurrent.futures`` thread pool,
-  with one cache per pool thread for the length of the call.  Useful
-  when chunk work releases the GIL (numpy kernels in the simd engine)
-  and for the campaign service's many-small-interactive-jobs regime,
-  where process fan-out overhead dominates tiny jobs.
-* :class:`ProcessExecutor` -- ``multiprocessing`` fan-out, cold:
-  every chunk builds its own state.  Each worker receives the task
-  table **once**, through the pool initializer, instead of a task copy
-  pickled into every job tuple; job tuples carry only ``(position,
-  slot, index, seed, count)``.
+* :class:`PersistentProcessExecutor` -- a warm pool of worker
+  processes: CPU-bound pure-Python chunks (the common case).
+* :class:`PersistentThreadExecutor` -- the same pool over worker
+  threads: chunks that release the GIL (numpy kernels), and service
+  regimes where even process spin-up is too much latency.
 
-**Warm persistent** (pool outlives ``submit_jobs`` calls; explicit
-``close()`` / context-manager lifecycle, optional idle teardown):
-
-* :class:`PersistentProcessExecutor` -- long-lived worker processes
-  created once and reused by every subsequent call (and every
-  scheduler job).  Tasks ship **incrementally**: a worker receives a
-  task at most once per process lifetime, keyed on
-  ``task.fingerprint()``; workers memoize seed-independent heavy
-  state per fingerprint in a :class:`~repro.campaigns.worker_cache.\
-WorkerStateCache` and run chunks through ``run_chunk_warm``.
-  Dispatch streams through a bounded in-flight window, so a
-  10^5-chunk plan never materializes 10^5 job tuples.
-* :class:`PersistentThreadExecutor` -- the same warm lifecycle over a
-  long-lived thread pool, with one state cache per worker thread.
+The two pools share one implementation and differ only in how a
+worker starts (a ``Process`` fed by a ``multiprocessing`` queue, or a
+``Thread`` fed by a ``queue.Queue``).  A pool's workers are created on
+first use and survive across ``submit_jobs`` calls (and so across
+scheduler jobs) until ``close()``/``with`` or an optional idle
+timeout.  Tasks ship to a worker at most once, keyed on
+``task.fingerprint()``; each worker memoizes seed-independent heavy
+state per fingerprint and runs chunks through ``run_chunk_warm``.
+Dispatch streams through a bounded in-flight window to the
+least-loaded worker, so a 10^5-chunk plan never materializes 10^5 job
+messages.
 
 Chunk failures surface as :class:`ChunkExecutionError` carrying the
-failing chunk's index, seed and count (plus the worker traceback for
-process pools), so a 10^7-sequence campaign names the chunk that died
-and a resume can re-run exactly that work.  A failed chunk does not
-poison a warm pool: the pool survives, stale in-flight results are
-discarded by epoch, and the next ``submit_jobs`` replaces any worker
-that died.
+failing chunk's index, seed and count (plus the worker traceback from
+a pool), so a 10^7-sequence campaign names the chunk that died and a
+resume can re-run exactly that work.  A failed chunk does not poison a
+pool: the pool survives and stale in-flight results are discarded by
+epoch.  A worker that died fails the call, and the next
+``submit_jobs`` starts a fresh pool.
+
+Whoever builds a pool owns it: :func:`resolve_executor` builds one for
+a ``"thread"``/``"process"`` spec, and the runner or scheduler that
+resolved the spec closes it; a pre-built pool passed in stays with its
+caller.
 
 The scheduler-facing entry point is :meth:`ChunkExecutorBase.\
 submit_jobs`, which multiplexes entries from *several* tasks over one
@@ -68,7 +63,7 @@ import threading
 import time
 import traceback
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Protocol,
-                    Sequence, Set, Tuple)
+                    Set, Tuple)
 
 from repro.campaigns.plan import ChunkPlanEntry
 from repro.campaigns.worker_cache import (
@@ -91,9 +86,9 @@ class ChunkExecutionError(RuntimeError):
     ``chunk_seed``, ``count`` -- so a failed multi-hour campaign says
     *which* chunk died (and therefore which seed reproduces the crash
     in isolation), plus ``worker_traceback`` when the failure happened
-    in a worker process whose live traceback cannot cross the pickle
-    boundary.  The original exception is chained as ``__cause__`` when
-    it is available in-process.
+    in a pool worker, which reports it as text (a live traceback cannot
+    cross the pickle boundary of a process pool).  The original
+    exception is chained as ``__cause__`` when the chunk ran inline.
     """
 
     def __init__(self, chunk_index: int, chunk_seed: int, count: int,
@@ -112,9 +107,9 @@ class ChunkExecutionError(RuntimeError):
     @classmethod
     def from_worker(cls, entry: ChunkPlanEntry,
                     worker_traceback: str) -> "ChunkExecutionError":
-        """A failure reported by a worker process as traceback text."""
+        """A failure reported by a pool worker as traceback text."""
         return cls(entry.index, entry.chunk_seed, entry.count,
-                   "worker process raised", worker_traceback)
+                   "pool worker raised", worker_traceback)
 
     @classmethod
     def wrap(cls, entry: ChunkPlanEntry,
@@ -153,9 +148,8 @@ class ChunkExecutorBase:
                task: Any) -> Iterator[Tuple[int, Any]]:
         """Run one task's entries; yield ``(index, result)`` pairs.
 
-        ``entries`` is consumed lazily: streaming executors pull from
-        it as their in-flight window frees up (one-shot executors
-        materialize it).
+        ``entries`` is consumed lazily: the pools pull from it as their
+        in-flight window frees up.
         """
         for _, index, result in self.submit_jobs(
                 ((None, entry, task) for entry in entries)):
@@ -186,17 +180,6 @@ def _run_leased(cache: WorkerStateCache, task: Any, entry: ChunkPlanEntry
                                cache_hit)
 
 
-def _run_thread_leased(local: threading.local, max_entries: int,
-                       entry: ChunkPlanEntry, task: Any
-                       ) -> Tuple[Any, ChunkTiming]:
-    """:func:`_run_leased` on the calling thread's own cache in ``local``
-    (designs are not thread-safe, so threads never share a state)."""
-    cache = getattr(local, "cache", None)
-    if cache is None:
-        cache = local.cache = WorkerStateCache(max_entries=max_entries)
-    return _run_leased(cache, task, entry)
-
-
 class SerialExecutor(ChunkExecutorBase):
     """Run every chunk inline, in submission order, on state from one
     :class:`WorkerStateCache` that lives as long as the executor: a
@@ -217,52 +200,6 @@ class SerialExecutor(ChunkExecutorBase):
         return "SerialExecutor()"
 
 
-class ThreadExecutor(ChunkExecutorBase):
-    """Fan chunks out over a thread pool.
-
-    Threads share the interpreter, so this pays no pickling or process
-    start-up cost; it overlaps real work only where the chunk's inner
-    loop releases the GIL (numpy kernels) or blocks on IO.  Jobs are
-    dispatched in submission order, which is what gives the scheduler
-    its fair-share interleaving.  Each pool thread has its own state
-    cache for the length of the call.
-    """
-
-    def __init__(self, num_workers: int):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-
-    def submit_jobs(self, jobs: Iterable[TaggedJob]
-                    ) -> Iterator[Tuple[Any, int, Any]]:
-        from concurrent.futures import FIRST_COMPLETED
-        from concurrent.futures import ThreadPoolExecutor as _Pool
-        from concurrent.futures import wait
-
-        jobs = list(jobs)
-        if len(jobs) <= 1 or self.num_workers == 1:
-            serial = SerialExecutor()
-            for item in serial.submit_jobs(jobs):
-                self.last_chunk_timing = serial.last_chunk_timing
-                yield item
-            return
-        local = threading.local()
-        with _Pool(max_workers=min(self.num_workers, len(jobs))) as pool:
-            futures = {pool.submit(_run_thread_leased, local,
-                                   DEFAULT_MAX_ENTRIES, entry, task):
-                       (tag, entry) for tag, entry, task in jobs}
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    tag, entry = futures[future]
-                    result, self.last_chunk_timing = future.result()
-                    yield tag, entry.index, result
-
-    def __repr__(self) -> str:
-        return f"ThreadExecutor(num_workers={self.num_workers})"
-
-
 def _start_context(start_method: Optional[str]):
     """The multiprocessing context for ``start_method`` (default:
     ``fork`` when available, else ``spawn``)."""
@@ -273,138 +210,17 @@ def _start_context(start_method: Optional[str]):
     return multiprocessing.get_context(method)
 
 
-# -- process pool plumbing (module level: pickled by name) -------------
-#: Worker-side task table, installed once per worker by the pool
-#: initializer.  Keys are small integer slots assigned by the parent,
-#: so job tuples never carry a task copy.
-_WORKER_TASKS: Dict[int, Any] = {}
-
-
-def _init_worker(parent_sys_path: List[str],
-                 tasks: Dict[int, Any]) -> None:
-    """Pool initializer: import path + the per-worker task table.
-
-    With the ``spawn`` start method a fresh interpreter imports this
-    module from scratch; when the parent runs from a source checkout
-    (``sys.path`` patched by conftest rather than PYTHONPATH), the
-    child needs the same entries to unpickle the tasks.  The task
-    table itself is the once-per-worker pickle that replaces the
-    historical once-per-job task copy.
-    """
-    for entry in reversed(parent_sys_path):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
-    _WORKER_TASKS.clear()
-    _WORKER_TASKS.update(tasks)
-
-
-def _slot_jobs(jobs: Sequence[TaggedJob]
-               ) -> Tuple[List[Tuple[int, int, int, int, int]],
-                          Dict[int, Any]]:
-    """Assign task-table slots and build the pool's job tuples.
-
-    Slots are keyed on ``task.fingerprint()`` -- **not** ``id(task)``:
-    object identity is neither stable (a freed task's id can be
-    reused by a different task while the pool is still running) nor
-    meaningful (two equal-fingerprint task objects describe the same
-    work and must share one table entry).  Factored out of
-    :meth:`ProcessExecutor.submit_jobs` so the slotting contract is
-    directly testable.
-    """
-    slots: Dict[str, int] = {}
-    tasks: Dict[int, Any] = {}
-    tuples: List[Tuple[int, int, int, int, int]] = []
-    for position, (_tag, entry, task) in enumerate(jobs):
-        key = task_state_key(task)
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(slots)
-            tasks[slot] = task
-        tuples.append((position, slot, entry.index, entry.chunk_seed,
-                       entry.count))
-    return tuples, tasks
-
-
-def _run_pool_job(job: Tuple[int, int, int, int, int]
-                  ) -> Tuple[int, Any, Optional[ChunkTiming], Optional[str]]:
-    """Worker-side entry point: run one chunk from the task table, on a
-    state built for it alone.  Returns ``(position, result, timing,
-    None)``, or ``(position, None, None, traceback_text)`` on failure:
-    live exception objects (and their frames) may not pickle."""
-    position, slot, index, chunk_seed, count = job
-    try:
-        result, timing = _run_leased(WorkerStateCache(), _WORKER_TASKS[slot],
-                                     ChunkPlanEntry(index, chunk_seed, count))
-        return position, result, timing, None
-    except Exception:
-        return position, None, None, traceback.format_exc()
-
-
-class ProcessExecutor(ChunkExecutorBase):
-    """Fan chunks out over worker processes (today's scaling path).
-
-    Each distinct task object is pickled exactly once per worker, via
-    the pool initializer's task table; the per-job tuples carry only
-    plan coordinates.  Worker failures come back as
-    :class:`ChunkExecutionError` with the worker traceback attached.
-
-    Parameters
-    ----------
-    num_workers:
-        Process count.  A single worker (or a single pending job)
-        degrades to inline, still cold, execution -- same results.
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork``
-        (cheap, inherits ``sys.path``) and falls back to ``spawn``.
-    """
-
-    def __init__(self, num_workers: int,
-                 start_method: Optional[str] = None):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-        self._start_method = start_method
-
-    def submit_jobs(self, jobs: Iterable[TaggedJob]
-                    ) -> Iterator[Tuple[Any, int, Any]]:
-        jobs = list(jobs)
-        if len(jobs) <= 1 or self.num_workers == 1:
-            for tag, entry, task in jobs:  # a fresh state per chunk
-                result, self.last_chunk_timing = _run_leased(
-                    WorkerStateCache(), task, entry)
-                yield tag, entry.index, result
-            return
-        tuples, tasks = _slot_jobs(jobs)
-        context = _start_context(self._start_method)
-        workers = min(self.num_workers, len(tuples))
-        with context.Pool(workers, initializer=_init_worker,
-                          initargs=(list(sys.path), tasks)) as pool:
-            for position, result, timing, failure in pool.imap_unordered(
-                    _run_pool_job, tuples):
-                tag, entry, _task = jobs[position]
-                if failure is not None:
-                    raise ChunkExecutionError.from_worker(entry, failure)
-                self.last_chunk_timing = timing
-                yield tag, entry.index, result
-
-    def __repr__(self) -> str:
-        return (f"ProcessExecutor(num_workers={self.num_workers}, "
-                f"start_method={self._start_method!r})")
-
-
-# -- warm persistent pool plumbing (module level: pickled by name) -----
+# -- pool worker (module level: a process target is pickled by name) ---
 def _persistent_worker_main(parent_sys_path: List[str], worker_id: int,
                             job_queue: Any, result_queue: Any,
                             max_cached: int) -> None:
-    """Long-lived worker loop of :class:`PersistentProcessExecutor`.
+    """Long-lived worker loop of both pools.
 
     Protocol (one job queue per worker, one shared result queue):
 
     * ``("task", key, task)`` -- install ``task`` in this worker's
       table under its fingerprint ``key``.  The parent sends this at
-      most once per (worker lifetime, fingerprint): that is the
-      incremental task shipping that replaces the cold pool's
-      re-shipping of the whole table on every ``submit_jobs``.
+      most once per (worker lifetime, fingerprint).
     * ``("job", epoch, position, key, index, chunk_seed, count)`` --
       run one plan entry through :func:`_run_leased` on the worker's
       :class:`~repro.campaigns.worker_cache.WorkerStateCache`.
@@ -413,8 +229,17 @@ def _persistent_worker_main(parent_sys_path: List[str], worker_id: int,
       None, None, traceback_text)`` on failure.  Plain values keep
       the per-chunk messages cheap to pickle.
     * ``("stop",)`` -- exit the loop (sent by ``close()``).
+
+    A worker's cache is its own (designs are not thread-safe), so no
+    two workers ever share a state.
     """
-    _init_worker(parent_sys_path, {})  # the import path, as a cold worker
+    # With the ``spawn`` start method a fresh interpreter imports this
+    # module from scratch; when the parent runs from a source checkout
+    # (``sys.path`` patched rather than PYTHONPATH), the child needs the
+    # same entries to unpickle the tasks.
+    for entry in reversed(parent_sys_path):
+        if entry not in sys.path:
+            sys.path.insert(0, entry)
     tasks: Dict[str, Any] = {}
     cache = WorkerStateCache(max_entries=max_cached)
     while True:
@@ -440,12 +265,13 @@ def _persistent_worker_main(parent_sys_path: List[str], worker_id: int,
 
 
 class _WorkerRecord:
-    """Parent-side bookkeeping for one persistent worker process."""
+    """Parent-side bookkeeping for one pool worker."""
 
-    __slots__ = ("process", "queue", "shipped", "inflight")
+    __slots__ = ("handle", "queue", "shipped", "inflight")
 
-    def __init__(self, process: Any, job_queue: Any):
-        self.process = process
+    def __init__(self, handle: Any, job_queue: Any):
+        #: The worker's ``Process`` or ``Thread``.
+        self.handle = handle
         self.queue = job_queue
         #: Task fingerprints already shipped to this worker's table.
         self.shipped: Set[str] = set()
@@ -453,14 +279,52 @@ class _WorkerRecord:
         self.inflight = 0
 
 
-class _WarmLifecycleMixin:
-    """Shared close/context-manager/idle-timer plumbing of the warm
-    executors.  Subclasses implement ``_teardown()`` (drop the pool,
-    keep the executor reusable) and set ``_closed`` in ``close()``."""
+def _close_queue(channel: Any) -> None:
+    """Release a ``multiprocessing`` queue's feeder thread (a
+    ``queue.Queue`` holds nothing to release)."""
+    if not isinstance(channel, _queue.Queue):
+        channel.close()
+        channel.cancel_join_thread()
 
-    def _init_warm(self, num_workers: int, window: Optional[int],
-                   idle_timeout: Optional[float], max_cached: int) -> None:
-        """Validate and store the arguments both warm executors take."""
+
+class _WarmPool(ChunkExecutorBase):
+    """One pool, many ``submit_jobs`` calls.
+
+    A pool pays each fixed cost once per worker lifetime:
+
+    * workers are created on first use and reused by every subsequent
+      ``submit_jobs`` (and so by every scheduler job);
+    * a task ships to a worker at most once, keyed on
+      ``task.fingerprint()``;
+    * workers memoize seed-independent heavy state (design, engine,
+      workspaces, LUTs, jit warm-up) per fingerprint and run chunks
+      via ``run_chunk_warm`` -- bit-identical to serial, for any
+      worker count and any pool-reuse order.
+
+    Dispatch streams: jobs are pulled from the (lazily consumed)
+    iterable only while fewer than ``window`` are in flight, each to
+    the least-loaded worker.
+
+    Failure containment: a raised :class:`ChunkExecutionError` leaves
+    the pool warm.  Results of abandoned calls are discarded by epoch,
+    a dead worker makes the next call start a fresh pool (cold
+    caches), and ``close()``/``with`` tears everything down;
+    ``idle_timeout`` additionally reclaims the workers after that many
+    idle seconds (the executor stays usable -- the next call re-spawns
+    them).
+
+    Subclasses say how a worker starts: ``_new_queue()`` makes a job
+    or result channel, ``_new_worker(name, args)`` an unstarted worker
+    running :func:`_persistent_worker_main`.
+    """
+
+    #: How the dead-worker report names a worker.
+    _worker_kind = "process"
+
+    def __init__(self, num_workers: int,
+                 window: Optional[int] = None,
+                 idle_timeout: Optional[float] = None,
+                 max_cached_states: int = DEFAULT_MAX_ENTRIES):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if window is not None and window < 1:
@@ -473,11 +337,22 @@ class _WarmLifecycleMixin:
         self.window = window if window is not None else max(
             2 * num_workers, 4)
         self.idle_timeout = idle_timeout
-        self._max_cached = max_cached
+        self._max_cached = max_cached_states
         self._closed = False
         self._lock = threading.RLock()
         self._idle_timer: Optional[threading.Timer] = None
+        self._workers: Dict[int, _WorkerRecord] = {}
+        self._next_worker_id = 0
+        self._result_queue: Any = None
+        self._epoch = 0
 
+    def _new_queue(self) -> Any:
+        raise NotImplementedError
+
+    def _new_worker(self, name: str, args: Tuple[Any, ...]) -> Any:
+        raise NotImplementedError
+
+    # -- lifecycle ------------------------------------------------------
     def __enter__(self):
         return self
 
@@ -490,11 +365,12 @@ class _WarmLifecycleMixin:
         except Exception:
             pass
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(
-                f"{type(self).__name__} is closed; create a new "
-                f"executor (close() is final)")
+    def close(self) -> None:
+        """Tear the pool down and retire the executor (idempotent)."""
+        with self._lock:
+            self._cancel_idle_timer()
+            self._teardown()
+            self._closed = True
 
     def _cancel_idle_timer(self) -> None:
         if self._idle_timer is not None:
@@ -511,103 +387,41 @@ class _WarmLifecycleMixin:
 
     def _idle_teardown(self) -> None:
         with self._lock:
-            if self._closed:
-                return
-            # Drop the idle pool but stay usable: the next submit_jobs
-            # simply pays one (cold) pool spin-up again.
-            self._teardown()
+            if not self._closed:
+                # Drop the idle workers but stay usable: the next
+                # submit_jobs simply pays one (cold) spin-up again.
+                self._teardown()
 
-    def close(self) -> None:
-        """Tear the pool down and retire the executor (idempotent)."""
-        with self._lock:
-            self._cancel_idle_timer()
-            self._teardown()
-            self._closed = True
-
-
-class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
-    """Warm process fan-out: one pool, many ``submit_jobs`` calls.
-
-    The cold :class:`ProcessExecutor` pays pool spin-up, task-table
-    shipping and per-chunk bench construction on **every** call; this
-    executor pays each cost once per worker lifetime:
-
-    * worker processes are created on first use and reused by every
-      subsequent ``submit_jobs`` (and so by every scheduler job);
-    * a task ships to a worker at most once, keyed on
-      ``task.fingerprint()``;
-    * workers memoize seed-independent heavy state (design, engine,
-      workspaces, LUTs, jit warm-up) per fingerprint and run chunks
-      via ``run_chunk_warm`` -- bit-identical to the cold path, for
-      any worker count and any pool-reuse order.
-
-    Dispatch streams: jobs are pulled from the (lazily consumed)
-    iterable only while fewer than ``window`` are in flight, each to
-    the least-loaded worker.
-
-    Failure containment: a raised :class:`ChunkExecutionError` leaves
-    the pool warm.  Results of abandoned calls are discarded by epoch,
-    dead workers are replaced (with cold caches) on the next call, and
-    ``close()``/``with`` tears everything down; ``idle_timeout``
-    additionally reclaims the pool after that many idle seconds (the
-    executor stays usable -- the next call re-spawns).
-
-    Unlike the cold executor there is **no** inline degradation for
-    single-job calls or ``num_workers=1`` -- a one-worker warm pool is
-    precisely the many-small-interactive-jobs service regime.
-    """
-
-    def __init__(self, num_workers: int,
-                 start_method: Optional[str] = None,
-                 window: Optional[int] = None,
-                 idle_timeout: Optional[float] = None,
-                 max_cached_states: int = DEFAULT_MAX_ENTRIES):
-        self._init_warm(num_workers, window, idle_timeout,
-                        max_cached_states)
-        self._start_method = start_method
-        self._context: Any = None
-        self._workers: Dict[int, _WorkerRecord] = {}
-        self._next_worker_id = 0
-        self._result_queue: Any = None
-        self._epoch = 0
-
-    # -- pool management ------------------------------------------------
     @property
     def alive_workers(self) -> int:
-        """Live worker processes right now (0 before first use and
-        after close/idle teardown)."""
+        """Live workers right now (0 before first use and after
+        close/idle teardown)."""
         return sum(1 for record in self._workers.values()
-                   if record.process.is_alive())
+                   if record.handle.is_alive())
 
     def _ensure_pool(self) -> None:
-        if self._context is None:
-            self._context = _start_context(self._start_method)
+        if any(not record.handle.is_alive()
+               for record in self._workers.values()):
+            # A worker that died may have held the shared result
+            # queue's write lock, and then no survivor could ever
+            # report again: replace the whole pool, not just the dead.
+            self._teardown()
         if self._result_queue is None:
-            self._result_queue = self._context.Queue()
+            self._result_queue = self._new_queue()
         self._drain_stale_results()
-        for worker_id, record in list(self._workers.items()):
-            if not record.process.is_alive():
-                # A crashed worker's warm cache died with it; replace
-                # below with a cold one rather than poisoning the pool.
-                record.process.join(timeout=0.1)
-                del self._workers[worker_id]
         while len(self._workers) < self.num_workers:
             worker_id = self._next_worker_id
             self._next_worker_id += 1
-            job_queue = self._context.Queue()
-            process = self._context.Process(
-                target=_persistent_worker_main,
-                args=(list(sys.path), worker_id, job_queue,
-                      self._result_queue, self._max_cached),
-                daemon=True,
-                name=f"repro-warm-worker-{worker_id}")
-            process.start()
-            self._workers[worker_id] = _WorkerRecord(process, job_queue)
+            job_queue = self._new_queue()
+            handle = self._new_worker(
+                f"repro-warm-worker-{worker_id}",
+                (list(sys.path), worker_id, job_queue, self._result_queue,
+                 self._max_cached))
+            handle.start()
+            self._workers[worker_id] = _WorkerRecord(handle, job_queue)
 
     def _drain_stale_results(self) -> None:
         """Consume results of abandoned epochs without blocking."""
-        if self._result_queue is None:
-            return
         while True:
             try:
                 message = self._result_queue.get_nowait()
@@ -621,26 +435,25 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
         workers, self._workers = self._workers, {}
         result_queue, self._result_queue = self._result_queue, None
         for record in workers.values():
-            if record.process.is_alive():
+            if record.handle.is_alive():
                 try:
                     record.queue.put(("stop",))
                 except Exception:  # pragma: no cover - queue torn down
                     pass
         for record in workers.values():
-            record.process.join(timeout=5.0)
-            if record.process.is_alive():  # pragma: no cover - stuck chunk
-                record.process.terminate()
-                record.process.join(timeout=1.0)
-            record.queue.close()
-            record.queue.cancel_join_thread()
+            record.handle.join(timeout=5.0)
+            if (record.handle.is_alive()  # pragma: no cover - stuck chunk
+                    and hasattr(record.handle, "terminate")):
+                record.handle.terminate()
+                record.handle.join(timeout=1.0)
+            _close_queue(record.queue)
         if result_queue is not None:
             while True:
                 try:
                     result_queue.get_nowait()
                 except _queue.Empty:
                     break
-            result_queue.close()
-            result_queue.cancel_join_thread()
+            _close_queue(result_queue)
 
     # -- dispatch -------------------------------------------------------
     def _dispatch(self, epoch: int, position: int, entry: ChunkPlanEntry,
@@ -660,30 +473,37 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
                      assigned: Dict[int, int]) -> Tuple[Any, ...]:
         """Block for the next worker reply, watching for worker death.
 
-        A worker that dies mid-chunk would otherwise hang the consumer
-        forever; instead its earliest outstanding chunk is reported as
-        a failure (the pool replaces the worker on the next call).
+        A dead worker would otherwise hang the consumer forever: its
+        own chunks never return, and if it died holding the result
+        queue's write lock neither do anyone else's.  So any death
+        fails the call, naming the dead worker's earliest outstanding
+        chunk (else the earliest pending one); the next call replaces
+        the pool.
         """
         while True:
             try:
                 return self._result_queue.get(timeout=1.0)
             except _queue.Empty:
-                for position in sorted(assigned):
-                    worker_id = assigned[position]
-                    record = self._workers.get(worker_id)
-                    if record is None or record.process.is_alive():
-                        continue
-                    exitcode = record.process.exitcode
-                    record.process.join(timeout=0.1)
-                    del self._workers[worker_id]
-                    return (None, epoch, position, None, None,
-                            f"worker process died (exit code "
-                            f"{exitcode}) before returning a result")
+                dead = {worker_id: record.handle
+                        for worker_id, record in self._workers.items()
+                        if not record.handle.is_alive()}
+                if not dead:
+                    continue
+                on_dead = [position for position, worker_id
+                           in assigned.items() if worker_id in dead]
+                exitcode = getattr(next(iter(dead.values())), "exitcode",
+                                   None)
+                return (None, epoch, min(on_dead or assigned), None, None,
+                        f"worker {self._worker_kind} died (exit code "
+                        f"{exitcode}) before returning a result")
 
     def submit_jobs(self, jobs: Iterable[TaggedJob]
                     ) -> Iterator[Tuple[Any, int, Any]]:
         with self._lock:
-            self._check_open()
+            if self._closed:
+                raise RuntimeError(
+                    f"{type(self).__name__} is closed; create a new "
+                    f"executor (close() is final)")
             self._cancel_idle_timer()
             self._ensure_pool()
             self._epoch += 1
@@ -735,94 +555,55 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
                     self._start_idle_timer()
 
     def __repr__(self) -> str:
-        return (f"PersistentProcessExecutor(num_workers="
-                f"{self.num_workers}, start_method="
-                f"{self._start_method!r}, window={self.window}, "
+        return (f"{type(self).__name__}(num_workers={self.num_workers}, "
+                f"window={self.window}, "
                 f"alive_workers={self.alive_workers})")
 
 
-class PersistentThreadExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
-    """Warm thread fan-out: a long-lived thread pool with per-thread
-    state caches.
+class PersistentProcessExecutor(_WarmPool):
+    """The pool over worker processes, each fed by its own
+    ``multiprocessing`` queue.
 
-    The thread twin of :class:`PersistentProcessExecutor`: the pool
-    survives across ``submit_jobs`` calls, each worker thread keeps
-    its own :class:`~repro.campaigns.worker_cache.WorkerStateCache`
-    (designs are not thread-safe, so states are never shared between
-    threads), dispatch streams through the same bounded window, and
-    the same ``close()``/context-manager/``idle_timeout`` lifecycle
-    applies.  Best for GIL-releasing chunk work and for warm service
-    regimes where even process spin-up is too much latency.
+    ``start_method`` picks the ``multiprocessing`` start method; the
+    default prefers ``fork`` (cheap, inherits ``sys.path``) and falls
+    back to ``spawn``.  A one-worker pool is still a pool -- the
+    many-small-interactive-jobs service regime.
     """
 
     def __init__(self, num_workers: int,
+                 start_method: Optional[str] = None,
                  window: Optional[int] = None,
                  idle_timeout: Optional[float] = None,
                  max_cached_states: int = DEFAULT_MAX_ENTRIES):
-        self._init_warm(num_workers, window, idle_timeout,
-                        max_cached_states)
-        self._pool: Any = None
-        self._local = threading.local()
+        super().__init__(num_workers, window, idle_timeout,
+                         max_cached_states)
+        self._context = _start_context(start_method)
 
-    def _ensure_pool(self) -> None:
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor as _Pool
-            self._pool = _Pool(max_workers=self.num_workers,
-                               thread_name_prefix="repro-warm")
+    def _new_queue(self) -> Any:
+        return self._context.Queue()
 
-    def _teardown(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+    def _new_worker(self, name: str, args: Tuple[Any, ...]) -> Any:
+        return self._context.Process(target=_persistent_worker_main,
+                                     args=args, daemon=True, name=name)
 
-    def submit_jobs(self, jobs: Iterable[TaggedJob]
-                    ) -> Iterator[Tuple[Any, int, Any]]:
-        from concurrent.futures import FIRST_COMPLETED, wait
 
-        with self._lock:
-            self._check_open()
-            self._cancel_idle_timer()
-            self._ensure_pool()
-            pool = self._pool
-        jobs_iter = iter(jobs)
-        futures: Dict[Any, Tuple[Any, ChunkPlanEntry]] = {}
-        exhausted = False
-        try:
-            while True:
-                while not exhausted and len(futures) < self.window:
-                    try:
-                        tag, entry, task = next(jobs_iter)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    future = pool.submit(_run_thread_leased, self._local,
-                                         self._max_cached, entry, task)
-                    futures[future] = (tag, entry)
-                if not futures:
-                    break
-                done, _ = wait(list(futures),
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    tag, entry = futures.pop(future)
-                    result, timing = future.result()
-                    self.last_chunk_timing = timing
-                    yield tag, entry.index, result
-        finally:
-            for future in futures:
-                future.cancel()
-            with self._lock:
-                if not self._closed:
-                    self._start_idle_timer()
+class PersistentThreadExecutor(_WarmPool):
+    """The pool over worker threads, each fed by its own
+    ``queue.Queue``: no pickling and no process spin-up, with real
+    overlap only where chunk work releases the GIL."""
 
-    def __repr__(self) -> str:
-        return (f"PersistentThreadExecutor(num_workers="
-                f"{self.num_workers}, window={self.window}, "
-                f"warm={self._pool is not None})")
+    _worker_kind = "thread"
+
+    def _new_queue(self) -> Any:
+        return _queue.Queue()
+
+    def _new_worker(self, name: str, args: Tuple[Any, ...]) -> Any:
+        return threading.Thread(target=_persistent_worker_main,
+                                args=args, daemon=True, name=name)
 
 
 #: Executor spec strings accepted by :func:`resolve_executor`.
-EXECUTOR_KINDS = ("serial", "thread", "process", "thread-warm",
-                  "process-warm")
+EXECUTOR_KINDS = ("serial", "thread", "process")
 
 
 def resolve_executor(executor: "ChunkExecutor | str | None",
@@ -830,42 +611,35 @@ def resolve_executor(executor: "ChunkExecutor | str | None",
                      start_method: Optional[str] = None) -> ChunkExecutor:
     """Resolve an executor spec to an instance.
 
-    ``None`` keeps the historical behaviour: inline for one worker,
-    process fan-out otherwise.  A string names a kind from
-    ``EXECUTOR_KINDS`` sized by ``num_workers``; an object exposing
-    ``submit`` is returned as-is.  The warm kinds
-    (``"process-warm"``/``"thread-warm"``) build persistent executors
-    whose pool outlives individual calls -- whoever resolves a spec
-    string owns the resulting lifecycle (the runner and scheduler
-    close spec-resolved executors themselves; pass a pre-built
-    instance to share one warm pool across runners/schedulers and
-    close it yourself).
+    A string names a kind from ``EXECUTOR_KINDS`` sized by
+    ``num_workers``; ``None`` means ``"process"``.  ``"thread"`` and
+    ``"process"`` build the matching pool, and whoever resolved the
+    spec owns it: the runner closes its pool when its run ends, the
+    scheduler in ``close()``.  ``"serial"``, and any kind with
+    ``num_workers == 1``, resolves to a :class:`SerialExecutor`, which
+    is as warm as a one-worker pool without the IPC.  An object
+    exposing ``submit`` is returned as-is (pass a pre-built pool to
+    share it across runners and schedulers, and close it yourself).
     """
     if executor is None:
-        if num_workers == 1:
-            return SerialExecutor()
-        return ProcessExecutor(num_workers, start_method=start_method)
-    if isinstance(executor, str):
+        kind = "process"
+    elif isinstance(executor, str):
         kind = executor.strip().lower()
-        if kind == "serial":
-            return SerialExecutor()
-        if kind in ("thread", "threads"):
-            return ThreadExecutor(num_workers)
-        if kind in ("process", "processes"):
-            return ProcessExecutor(num_workers, start_method=start_method)
-        if kind in ("process-warm", "warm-process"):
-            return PersistentProcessExecutor(num_workers,
-                                             start_method=start_method)
-        if kind in ("thread-warm", "warm-thread"):
-            return PersistentThreadExecutor(num_workers)
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from "
-            f"{EXECUTOR_KINDS} or pass a ChunkExecutor instance")
-    if hasattr(executor, "submit"):
+        if kind not in EXECUTOR_KINDS:
+            raise ValueError(
+                f"unknown executor {executor!r}; choose from "
+                f"{EXECUTOR_KINDS} or pass a ChunkExecutor instance")
+    elif hasattr(executor, "submit"):
         return executor
-    raise TypeError(
-        f"executor must be None, a kind string or a ChunkExecutor, "
-        f"got {type(executor).__name__}")
+    else:
+        raise TypeError(
+            f"executor must be None, a kind string or a ChunkExecutor, "
+            f"got {type(executor).__name__}")
+    if kind == "serial" or num_workers == 1:
+        return SerialExecutor()
+    if kind == "thread":
+        return PersistentThreadExecutor(num_workers)
+    return PersistentProcessExecutor(num_workers, start_method=start_method)
 
 
 __all__ = [
@@ -876,8 +650,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "PersistentProcessExecutor",
     "PersistentThreadExecutor",
-    "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "resolve_executor",
 ]

@@ -12,10 +12,10 @@ each --
   chunk_size)`` alone (never the worker count), which is why the
   merged statistics are **bit-identical for any executor and any
   number of workers**;
-* :mod:`repro.campaigns.executors` -- where chunks run: inline,
-  thread pool, or process pool (tasks pickled once per worker), on
-  worker state reused across chunks (all but the cold process pool),
-  with failures wrapped as :class:`~repro.campaigns.executors.\
+* :mod:`repro.campaigns.executors` -- where chunks run: inline, or
+  on a warm pool of worker threads or processes (tasks shipped once
+  per worker), on worker state reused across chunks, with failures
+  wrapped as :class:`~repro.campaigns.executors.\
 ChunkExecutionError` naming the chunk that died;
 * :mod:`repro.campaigns.checkpoints` -- the JSON checkpoint: header
   validation, atomic replace, and the ``save_interval`` flush policy
@@ -72,9 +72,8 @@ class CampaignTask:
         """Run ``num_sequences`` sequences seeded from ``chunk_seed``.
 
         The cold path, with nothing reused from earlier chunks.  The
-        executors call :meth:`run_chunk_warm` instead (the cold process
-        pool on a fresh state per chunk).  A task with a warm path
-        should define it as ``self.run_chunk_warm(
+        executors call :meth:`run_chunk_warm` instead.  A task with a
+        warm path should define it as ``self.run_chunk_warm(
         self.build_worker_state(), chunk_seed, num_sequences)``, so the
         two paths cannot diverge.
         """
@@ -86,10 +85,9 @@ class CampaignTask:
         Executors call this once per ``(cache, fingerprint())`` and
         memoize the result in a
         :class:`~repro.campaigns.worker_cache.WorkerStateCache` -- one
-        cache per serial executor, per thread of a one-shot thread
-        pool's call, and per warm pool worker -- and pass the state to
-        every :meth:`run_chunk_warm` call that cache serves for this
-        task.  Only **seed-independent** work belongs here (circuit
+        cache per serial executor and per pool worker -- and pass the
+        state to every :meth:`run_chunk_warm` call that cache serves for
+        this task.  Only **seed-independent** work belongs here (circuit
         construction, engine instances, LUTs, kernel warm-up) --
         anything derived from a chunk seed must stay in
         ``run_chunk_warm`` or results depend on which chunks ran
@@ -158,10 +156,9 @@ class CampaignProgress:
     worker-side setup-vs-compute split, summed from each chunk's
     :class:`~repro.campaigns.worker_cache.ChunkTiming`; every built-in
     executor reports it (an executor that does not leaves both at
-    ``0.0``).  On every executor but the cold process pool,
-    ``setup_seconds`` stops growing once each worker (the serial
-    executor is one) has built the task's state -- that plateau is the
-    amortization being observable.
+    ``0.0``).  ``setup_seconds`` stops growing once each worker (the
+    serial executor is one) has built the task's state -- that plateau
+    is the amortization being observable.
     """
 
     chunk_index: int
@@ -218,8 +215,7 @@ class ShardedCampaignRunner:
         draws a random root (recorded in the checkpoint so a resume
         stays coherent).
     num_workers:
-        Worker count; ``1`` runs inline (no pool), which is also the
-        fallback when only one chunk is pending.
+        Worker count; ``1`` runs inline (no pool).
     chunk_size:
         Sequences per chunk; defaults to
         :func:`~repro.campaigns.plan.default_chunk_size` rounded to the
@@ -235,14 +231,15 @@ class ShardedCampaignRunner:
         Called in the parent after each chunk with a
         :class:`CampaignProgress` (including elapsed/rate/ETA fields).
     start_method:
-        ``multiprocessing`` start method for the default process
-        executor; default prefers ``fork`` and falls back to ``spawn``.
+        ``multiprocessing`` start method for a process pool; default
+        prefers ``fork`` and falls back to ``spawn``.
     executor:
-        ``None`` (historical behaviour: inline for one worker,
-        processes otherwise), an
+        ``None`` (same as ``"process"``), an
         :data:`~repro.campaigns.executors.EXECUTOR_KINDS` string sized
-        by ``num_workers``, or a
-        :class:`~repro.campaigns.executors.ChunkExecutor` instance.
+        by ``num_workers`` (a pool resolved from a string lives for
+        this run), or a
+        :class:`~repro.campaigns.executors.ChunkExecutor` instance
+        (left running for its owner).
     save_interval:
         Checkpoint flush policy: rewrite the payload every this many
         completed chunks (default 1, the historical write-per-chunk

@@ -16,10 +16,10 @@ ChunkPlan`, never on what it was interleaved with.
 
 Typical use::
 
-    scheduler = CampaignScheduler(num_workers=4)
-    single = scheduler.submit(single_task, 10**6, seed=1)
-    burst = scheduler.submit(burst_task, 10**6, seed=2)
-    scheduler.run()                  # both campaigns share the pool
+    with CampaignScheduler(num_workers=4) as scheduler:
+        single = scheduler.submit(single_task, 10**6, seed=1)
+        burst = scheduler.submit(burst_task, 10**6, seed=2)
+        scheduler.run()              # both campaigns share the pool
     single.result, burst.result      # merged statistics per job
 """
 
@@ -141,18 +141,17 @@ class CampaignScheduler:
     Parameters
     ----------
     executor:
-        ``None`` (inline for ``num_workers == 1``, processes
+        ``None`` (inline for ``num_workers == 1``, a process pool
         otherwise), an executor-kind string, or a
         :class:`~repro.campaigns.executors.ChunkExecutor`; every job
-        submitted to this scheduler shares it.  The scheduler is the
-        natural home of the warm kinds: with
-        ``executor="process-warm"`` every ``run()`` round -- and
-        every job within a round -- reuses one hot pool with its
-        worker-side state caches (close with :meth:`close` or use the
-        scheduler as a context manager).  A pre-built persistent
-        executor can also be passed in to share one pool across
-        several schedulers/runners; its lifecycle then stays with the
-        caller.
+        submitted to this scheduler shares it.  With
+        ``executor="process"`` (or ``"thread"``) every ``run()`` round
+        -- and every job within a round -- reuses one hot pool with
+        its worker-side state caches, which the scheduler owns: close
+        it with :meth:`close` or use the scheduler as a context
+        manager.  A pre-built pool can also be passed in to share it
+        across several schedulers/runners; its lifecycle then stays
+        with the caller.
     num_workers, start_method:
         Sizing of the default/string-spec executor, as in
         :class:`~repro.campaigns.runner.ShardedCampaignRunner`.
@@ -289,8 +288,8 @@ CheckpointStore`).
         """Release the scheduler's executor, if the scheduler owns it.
 
         ``run()`` deliberately does **not** tear the executor down --
-        with a warm spec (``executor="process-warm"``) the whole point
-        is that later ``submit``/``run`` rounds reuse the hot pool.
+        with a pool spec (``executor="process"``) the whole point is
+        that later ``submit``/``run`` rounds reuse the hot pool.
         Call this (or use the scheduler as a context manager) when the
         scheduler is done for good.  Executors passed in as pre-built
         instances are left running for their owner.

@@ -4,11 +4,10 @@ A cold chunk pays for everything: the protected design (circuit,
 chains, monitor bank), the engine instance with its workspaces, the
 memoized GF(2) LUTs, and -- on the jit engine -- kernel warm-up.  The
 kernels have long out-scaled those fixed costs, so the executors keep
-a :class:`WorkerStateCache` -- one per serial executor, per thread of
-a one-shot thread pool's call, and per warm worker *lifetime* -- and
-rebuild only the cheap seed-dependent wrappers per chunk.  Only the
-cold :class:`~repro.campaigns.executors.ProcessExecutor` builds a
-fresh state for every chunk.
+a :class:`WorkerStateCache` -- one per serial executor and one per
+pool worker *lifetime* -- and rebuild only the cheap seed-dependent
+wrappers per chunk.  Only a direct ``task.run_chunk`` call builds a
+fresh state for one chunk.
 
 The split is the determinism contract of this module:
 

@@ -218,8 +218,7 @@ def run_sharded_campaign(task: FIFOValidationCampaignTask,
     """Run a validation campaign task through the sharded runner.
 
     The result is bit-identical for any ``num_workers`` and any
-    ``executor`` (``"serial"``, ``"thread"``, ``"process"``, the warm
-    persistent kinds ``"thread-warm"``/``"process-warm"``, or a
+    ``executor`` (``"serial"``, ``"thread"``, ``"process"``, or a
     :class:`~repro.campaigns.executors.ChunkExecutor` instance --
     pass a pre-built
     :class:`~repro.campaigns.executors.PersistentProcessExecutor` to

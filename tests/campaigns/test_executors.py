@@ -1,8 +1,8 @@
 """Executor layer: equivalence across executors, error wrapping,
-once-per-worker task shipping."""
+once-per-worker task shipping, spec resolution, and a spawned process
+pool."""
 
 import multiprocessing
-import pickle
 from dataclasses import dataclass
 
 import pytest
@@ -13,10 +13,9 @@ from repro.analysis.correction_capability import CorrectionCounters
 from repro.campaigns.executors import (
     EXECUTOR_KINDS,
     ChunkExecutionError,
-    ProcessExecutor,
+    PersistentProcessExecutor,
+    PersistentThreadExecutor,
     SerialExecutor,
-    ThreadExecutor,
-    _slot_jobs,
     resolve_executor,
 )
 from repro.campaigns.plan import ChunkPlan
@@ -203,84 +202,66 @@ class TestProcessExecutorShipping:
                 return (TrialTask, (self.scale,))
 
         CountingTask.pickles = 0
-        result = ShardedCampaignRunner(
-            CountingTask(), 120, seed=3, chunk_size=10, num_workers=2,
-            executor=ProcessExecutor(2, start_method="fork")).run()
-        assert result.sequences == 120
-        # 12 chunks historically meant 12 task pickles through the job
-        # queue; the initializer table under fork means zero.
-        assert CountingTask.pickles == 0
+        with PersistentProcessExecutor(2, start_method="fork") as pool:
+            result = ShardedCampaignRunner(
+                CountingTask(), 120, seed=3, chunk_size=10,
+                executor=pool).run()
+        assert result == ShardedCampaignRunner(
+            TrialTask(), 120, seed=3, chunk_size=10,
+            executor="serial").run()
+        # 12 chunks through a job queue would mean 12 task pickles;
+        # the pool ships the task at most once to each worker.
+        assert CountingTask.pickles <= 2
 
-    def test_task_pickled_once_per_worker_under_spawn(self):
+
+class TestSpawnStartMethod:
+    def test_spawned_pool_matches_serial(self):
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn start method unavailable")
-        task = TrialTask()
-        payload = pickle.dumps(task)
-        # The job tuples the pool ships are plan coordinates only.
-        entries = ChunkPlan.build(3, 40, 10).entries
-        tuples = [(pos, 0, e.index, e.chunk_seed, e.count)
-                  for pos, e in enumerate(entries)]
-        assert all(isinstance(v, int) for job in tuples for v in job)
-        assert len(pickle.dumps(tuples)) < len(payload) * len(entries)
-
-
-class TestSlotJobs:
-    """Task-table slots key on ``fingerprint()``, never ``id()``."""
-
-    def _jobs(self, *tasks):
-        entries = ChunkPlan.build(1, 10 * len(tasks), 10).entries
-        return [(None, entry, task)
-                for entry, task in zip(entries, tasks)]
-
-    def test_equal_fingerprint_tasks_share_one_slot(self):
-        # Two distinct objects describing the same work: one table
-        # entry, one per-worker pickle.
-        a, b = TrialTask(scale=5), TrialTask(scale=5)
-        assert a is not b
-        tuples, tasks = _slot_jobs(self._jobs(a, b))
-        assert len(tasks) == 1
-        assert [slot for _pos, slot, *_ in tuples] == [0, 0]
-
-    def test_distinct_fingerprints_get_distinct_slots(self):
-        tuples, tasks = _slot_jobs(
-            self._jobs(TrialTask(scale=1), TrialTask(scale=2)))
-        assert len(tasks) == 2
-        assert [slot for _pos, slot, *_ in tuples] == [0, 1]
-
-    def test_id_reuse_cannot_alias_slots(self):
-        # The historical id(task)-keyed table could alias two
-        # *different* tasks if CPython reused a freed id mid-run.
-        # Fingerprint keys are value-based, so even tasks constructed
-        # at the same recycled address slot separately.
-        jobs = []
-        entries = ChunkPlan.build(1, 20, 10).entries
-        for entry, scale in zip(entries, (1, 2)):
-            task = TrialTask(scale=scale)
-            jobs.append((None, entry, task))
-            del task  # eligible for id reuse before slotting runs
-        tuples, tasks = _slot_jobs(jobs)
-        assert len(tasks) == 2
-        assert sorted(t.scale for t in tasks.values()) == [1, 2]
+        task = _sampler_task("scalar")
+        reference = ShardedCampaignRunner(task, 12, seed=20100308,
+                                          chunk_size=4,
+                                          executor="serial").run()
+        with PersistentProcessExecutor(2, start_method="spawn") as pool:
+            for _ in range(2):  # fresh pool, then the same pool reused
+                result = ShardedCampaignRunner(
+                    task, 12, seed=20100308, chunk_size=4,
+                    executor=pool).run()
+                assert result == reference
+            assert pool.alive_workers == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestResolveExecutor:
     def test_none_keeps_historical_behaviour(self):
         assert isinstance(resolve_executor(None, 1), SerialExecutor)
-        assert isinstance(resolve_executor(None, 4), ProcessExecutor)
+        pool = resolve_executor(None, 4)
+        assert type(pool) is PersistentProcessExecutor
+        pool.close()
 
     def test_strings_and_instances(self):
+        assert EXECUTOR_KINDS == ("serial", "thread", "process")
         assert isinstance(resolve_executor("serial", 4), SerialExecutor)
-        assert isinstance(resolve_executor("thread", 4), ThreadExecutor)
-        assert isinstance(resolve_executor("process", 4), ProcessExecutor)
-        instance = ThreadExecutor(2)
+        for spec, cls in (("thread", PersistentThreadExecutor),
+                          ("process", PersistentProcessExecutor)):
+            pool = resolve_executor(spec, 4)
+            assert type(pool) is cls and pool.num_workers == 4
+            pool.close()
+            # One worker needs no pool: the serial executor is as warm.
+            assert isinstance(resolve_executor(spec, 1), SerialExecutor)
+        instance = PersistentProcessExecutor(1)
         assert resolve_executor(instance) is instance
+        assert resolve_executor(instance, 1) is instance
+        instance.close()
 
     def test_rejects_unknown_specs(self):
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("gpu", 2)
         with pytest.raises(TypeError):
             resolve_executor(42, 2)
+        with pytest.raises(ValueError, match="process-warm"):
+            resolve_executor("process-warm", 2)
         with pytest.raises(ValueError):
-            ThreadExecutor(0)
+            PersistentThreadExecutor(0)
         with pytest.raises(ValueError):
-            ProcessExecutor(0)
+            PersistentProcessExecutor(0)

@@ -1,8 +1,8 @@
 """In-process executors on reused worker state: the serial executor
-keeps one state cache for its lifetime, the one-shot thread executor
-one per pool thread for the length of a call.  Both must stay
-bit-identical to the per-chunk cold path, survive a poisoned chunk,
-and report the setup/compute split."""
+keeps one state cache for its lifetime, the thread pool one per worker
+thread for the pool's lifetime.  Both must stay bit-identical to the
+per-chunk cold path, survive a poisoned chunk, and report the
+setup/compute split."""
 
 import gc
 import threading
@@ -16,7 +16,7 @@ from repro.analysis.correction_capability import CorrectionCounters
 from repro.campaigns.executors import (
     ChunkExecutionError,
     SerialExecutor,
-    ThreadExecutor,
+    resolve_executor,
 )
 from repro.campaigns.plan import ChunkPlan
 from repro.campaigns.runner import CampaignTask, ShardedCampaignRunner
@@ -185,7 +185,11 @@ class TestOneShotThreads:
         ThreadTrackingTask.users = []
         task = ThreadTrackingTask()
         plan = ChunkPlan.build(3, 80, 2)
-        result, _ = _run_timed(ThreadExecutor(2), task, plan)
+        # A runner resolving "thread" owns its pool and closes it when
+        # the run ends, taking the worker threads' states with it.
+        result = ShardedCampaignRunner(task, 80, seed=3, chunk_size=2,
+                                       num_workers=2,
+                                       executor="thread").run()
 
         assert len(ThreadTrackingTask.built) == 2  # one per pool thread
         threads = {number: {thread for n, thread in ThreadTrackingTask.users
@@ -199,6 +203,7 @@ class TestOneShotThreads:
     def test_single_worker_forwards_the_serial_timing(self):
         task = _fifo_task()
         plan = ChunkPlan.build(9, 3 * CHUNK, CHUNK)
-        result, timings = _run_timed(ThreadExecutor(1), task, plan)
+        result, timings = _run_timed(resolve_executor("thread", 1), task,
+                                     plan)
         assert result == _cold_fold(task, plan)
         assert [t.cache_hit for t in timings] == [False, True, True]

@@ -120,11 +120,12 @@ class TestSchedulerDeterminism:
                     for task, total, seed in tasks]
         for spec, workers in (("serial", 1), ("thread", 3),
                               ("process", 2)):
-            scheduler = CampaignScheduler(executor=spec,
-                                          num_workers=workers)
-            jobs = [scheduler.submit(task, total, seed=seed, chunk_size=10)
-                    for task, total, seed in tasks]
-            scheduler.run()
+            with CampaignScheduler(executor=spec,
+                                   num_workers=workers) as scheduler:
+                jobs = [scheduler.submit(task, total, seed=seed,
+                                         chunk_size=10)
+                        for task, total, seed in tasks]
+                scheduler.run()
             assert [job.result for job in jobs] == expected, (spec, workers)
 
     def test_fifo_jobs_share_a_process_pool(self):
@@ -135,10 +136,11 @@ class TestSchedulerDeterminism:
                                          chunk_size=4).run()
         expected_two = ShardedCampaignRunner(task, 12, seed=77,
                                              chunk_size=4).run()
-        scheduler = CampaignScheduler(executor="process", num_workers=2)
-        one = scheduler.submit(task, 12, seed=20100308, chunk_size=4)
-        two = scheduler.submit(task, 12, seed=77, chunk_size=4)
-        scheduler.run()
+        with CampaignScheduler(executor="process",
+                               num_workers=2) as scheduler:
+            one = scheduler.submit(task, 12, seed=20100308, chunk_size=4)
+            two = scheduler.submit(task, 12, seed=77, chunk_size=4)
+            scheduler.run()
         assert one.result == expected
         assert two.result == expected_two
         assert two.result.stats.num_sequences == 12

@@ -1,17 +1,31 @@
-"""Warm persistent executors: lifecycle, pool reuse, incremental task
-shipping, streaming backpressure, failure containment, and the
-bit-identity acceptance invariant (warm == cold == serial)."""
+"""Warm pools: a lifecycle state machine over both pool classes, pool
+reuse, incremental task shipping, streaming backpressure, failure
+containment, owner-closes-the-pool, and the bit-identity acceptance
+invariant (pool == serial)."""
 
 import multiprocessing
 import os
+import signal
+import threading
 import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
-from repro.analysis.correction_capability import CorrectionCounters
+from repro.analysis.correction_capability import (
+    CorrectionCounters,
+    correction_capability_curve,
+    fig10_curves,
+)
 from repro.campaigns.executors import (
-    EXECUTOR_KINDS,
     ChunkExecutionError,
     PersistentProcessExecutor,
     PersistentThreadExecutor,
@@ -21,6 +35,7 @@ from repro.campaigns.plan import ChunkPlan
 from repro.campaigns.runner import CampaignTask, ShardedCampaignRunner
 from repro.campaigns.scheduler import CampaignScheduler
 from repro.campaigns.tasks import FIFOValidationCampaignTask
+from repro.codes.hamming import HammingCode
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -100,6 +115,115 @@ def _serial(task, total=60, seed=11, chunk=10):
                                  executor="serial").run()
 
 
+def _warm_threads():
+    """Live pool worker threads of this process."""
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-warm")]
+
+
+class PoolLifecycle(RuleBasedStateMachine):
+    """Any sequence of submits, resubmits, failing chunks, idle
+    teardowns, worker kills and closes keeps the pool exact and
+    bounded; ``close()`` leaves no worker behind and is final."""
+
+    pool_class = PersistentProcessExecutor
+    WINDOW = 3
+
+    def __init__(self):
+        super().__init__()
+        self.pool = self.pool_class(2, window=self.WINDOW)
+        assert self.pool.alive_workers == 0  # workers start on first use
+        self.task = TrialTask()
+        self.closed = False
+
+    def _check_run(self, task, seed):
+        """Run ``task`` through a counting feed: equal to serial, and
+        the feed never runs more than ``WINDOW`` ahead."""
+        entries = ChunkPlan.build(seed, 60, 10).entries
+        pulled = []
+
+        def feed():
+            for entry in entries:
+                pulled.append(entry.index)
+                yield (None, entry, task)
+
+        merged = task.empty_result()
+        for consumed, (_, _index, result) in enumerate(
+                self.pool.submit_jobs(feed()), start=1):
+            assert len(pulled) <= consumed + self.WINDOW
+            merged.merge(result)
+        assert merged == _serial(task, seed=seed)
+        assert self.pool.alive_workers == self.pool.num_workers
+
+    @precondition(lambda self: not self.closed)
+    @rule(seed=st.integers(0, 3), scale=st.sampled_from((3, 5)))
+    def submit(self, seed, scale):
+        self._check_run(TrialTask(scale=scale), seed)
+
+    @precondition(lambda self: not self.closed)
+    @rule(seed=st.integers(0, 3))
+    def resubmit_same_task(self, seed):
+        self._check_run(self.task, seed)
+        self._check_run(self.task, seed)
+
+    @precondition(lambda self: not self.closed)
+    @rule(poisoned=st.integers(0, 5))
+    def failing_chunk(self, poisoned):
+        entry = ChunkPlan.build(7, 60, 10).entries[poisoned]
+        with pytest.raises(ChunkExecutionError) as excinfo:
+            _run(self.pool, FailingTask(poison_seed=entry.chunk_seed),
+                 seed=7)
+        assert excinfo.value.chunk_index == entry.index
+        assert "poisoned chunk" in (excinfo.value.worker_traceback or "")
+
+    @precondition(lambda self: not self.closed)
+    @rule()
+    def idle_teardown(self):
+        self.pool._idle_teardown()  # what the idle_timeout timer fires
+        assert self.pool.alive_workers == 0
+
+    @precondition(lambda self: not self.closed
+                  and self.pool_class is PersistentProcessExecutor
+                  and self.pool.alive_workers > 0)
+    @rule()
+    def kill_a_worker(self):
+        record = next(record for record in self.pool._workers.values()
+                      if record.handle.is_alive())
+        os.kill(record.handle.pid, signal.SIGKILL)
+        record.handle.join(timeout=10.0)
+
+    @rule()
+    def shut_down(self):
+        self.pool.close()  # idempotent
+        self.closed = True
+        assert self.pool.alive_workers == 0
+        assert multiprocessing.active_children() == []
+        assert _warm_threads() == []
+
+    @precondition(lambda self: self.closed)
+    @rule()
+    def submit_after_close(self):
+        with pytest.raises(RuntimeError, match="closed"):
+            _run(self.pool, TrialTask())
+
+    @invariant()
+    def bounded(self):
+        assert self.pool.alive_workers <= self.pool.num_workers
+
+    def teardown(self):
+        self.pool.close()
+
+
+class ThreadPoolLifecycle(PoolLifecycle):
+    pool_class = PersistentThreadExecutor
+
+
+TestProcessPoolLifecycle = PoolLifecycle.TestCase
+TestThreadPoolLifecycle = ThreadPoolLifecycle.TestCase
+TestProcessPoolLifecycle.settings = TestThreadPoolLifecycle.settings = \
+    settings(max_examples=30, stateful_step_count=12, deadline=None)
+
+
 class TestLifecycle:
     def test_context_manager_tears_the_pool_down(self):
         with PersistentProcessExecutor(2) as pool:
@@ -122,6 +246,7 @@ class TestLifecycle:
         with PersistentThreadExecutor(2) as pool:
             assert _run(pool, TrialTask()) == _serial(TrialTask())
         pool.close()  # idempotent after __exit__
+        assert _warm_threads() == []
         with pytest.raises(RuntimeError, match="closed"):
             list(pool.submit(iter(ChunkPlan.build(1, 10, 5).entries),
                              TrialTask()))
@@ -153,9 +278,9 @@ class TestPoolReuse:
     def test_workers_survive_across_submit_calls(self):
         with PersistentProcessExecutor(2) as pool:
             first = _run(pool, TrialTask())
-            pids = sorted(r.process.pid for r in pool._workers.values())
+            pids = sorted(r.handle.pid for r in pool._workers.values())
             second = _run(pool, TrialTask(), seed=12)
-            assert sorted(r.process.pid
+            assert sorted(r.handle.pid
                           for r in pool._workers.values()) == pids
             assert first == _serial(TrialTask())
             assert second == _serial(TrialTask(), seed=12)
@@ -241,6 +366,7 @@ class TestBackpressure:
             for _ in pool.submit_jobs(feed()):
                 consumed += 1
                 assert len(pulled) <= consumed + 4
+            assert consumed == len(entries)
 
 
 class TestFailureContainment:
@@ -283,6 +409,18 @@ class TestFailureContainment:
             assert _run(pool, TrialTask()) == _serial(TrialTask())
             assert pool.alive_workers == 2
 
+    def test_worker_killed_holding_the_result_lock_cannot_hang(self):
+        with PersistentProcessExecutor(2) as pool:
+            _run(pool, TrialTask())
+            # A worker SIGKILLed mid-send leaves the shared result
+            # queue's write lock held: no survivor could report again.
+            pool._result_queue._wlock.acquire()
+            victim = next(iter(pool._workers.values())).handle
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert _run(pool, TrialTask()) == _serial(TrialTask())
+            assert pool.alive_workers == 2
+
 
 class TestWarmBitIdentity:
     """Acceptance invariant: warm results are bit-identical to serial
@@ -317,34 +455,19 @@ class TestWarmBitIdentity:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_thread_warm_matches_serial(self, workers):
-        task = _sampler_task("scalar")
-        reference = _serial(task, total=12, seed=20100308, chunk=4)
-        with PersistentThreadExecutor(workers) as pool:
-            fresh = _run(pool, task, total=12, seed=20100308, chunk=4)
-            reused = _run(pool, task, total=12, seed=20100308, chunk=4)
-        assert fresh == reference
-        assert reused == reference
+        pytest.importorskip("numpy")
+        for mode in ("scalar", "array"):
+            task = _sampler_task(mode)
+            reference = _serial(task, total=12, seed=20100308, chunk=4)
+            with PersistentThreadExecutor(workers) as pool:
+                fresh = _run(pool, task, total=12, seed=20100308, chunk=4)
+                reused = _run(pool, task, total=12, seed=20100308,
+                              chunk=4)
+            assert fresh == reference, mode
+            assert reused == reference, mode
 
 
-class TestResolveWarmSpecs:
-    def test_warm_kind_strings(self):
-        for spec in ("process-warm", "warm-process"):
-            pool = resolve_executor(spec, 3)
-            assert isinstance(pool, PersistentProcessExecutor)
-            assert pool.num_workers == 3
-            pool.close()
-        for spec in ("thread-warm", "warm-thread"):
-            pool = resolve_executor(spec, 3)
-            assert isinstance(pool, PersistentThreadExecutor)
-            assert pool.num_workers == 3
-            pool.close()
-
-    def test_warm_kinds_are_advertised(self):
-        assert "process-warm" in EXECUTOR_KINDS
-        assert "thread-warm" in EXECUTOR_KINDS
-        with pytest.raises(ValueError, match="process-warm"):
-            resolve_executor("gpu", 2)
-
+class TestResolvePools:
     def test_prebuilt_instances_pass_through(self):
         pool = PersistentProcessExecutor(2)
         try:
@@ -357,7 +480,7 @@ class TestRunnerIntegration:
     def test_runner_with_warm_spec_closes_its_pool(self):
         result = ShardedCampaignRunner(
             TrialTask(), 200, seed=99, chunk_size=13, num_workers=2,
-            executor="process-warm").run()
+            executor="process").run()
         assert result == _serial(TrialTask(), total=200, seed=99,
                                  chunk=13)
         # The runner resolved the spec, so the runner closed the pool.
@@ -378,12 +501,12 @@ class TestRunnerIntegration:
         task = _sampler_task("scalar")
         snapshots = []
         ShardedCampaignRunner(
-            task, 12, seed=5, chunk_size=4, num_workers=1,
-            executor="process-warm",
+            task, 12, seed=5, chunk_size=4, num_workers=2,
+            executor="process",
             progress_callback=snapshots.append).run()
         final = snapshots[-1]
-        # One worker built the workspace once (setup), then computed
-        # every chunk: both halves of the split are visible.
+        # Each worker built the workspace once (setup), then computed
+        # its chunks: both halves of the split are visible.
         assert final.setup_seconds > 0.0
         assert final.compute_seconds > 0.0
         assert final.sequences_completed == 12
@@ -391,7 +514,7 @@ class TestRunnerIntegration:
 
 class TestSchedulerIntegration:
     def test_one_warm_pool_serves_many_jobs(self):
-        with CampaignScheduler(executor="process-warm",
+        with CampaignScheduler(executor="process",
                                num_workers=2) as scheduler:
             jobs = [scheduler.submit(TrialTask(), 60, seed=seed,
                                      chunk_size=10)
@@ -410,16 +533,16 @@ class TestSchedulerIntegration:
         assert _warm_children() == []
 
     def test_back_to_back_rounds_reuse_the_pool(self):
-        with CampaignScheduler(executor="process-warm",
-                               num_workers=1) as scheduler:
+        with CampaignScheduler(executor="process",
+                               num_workers=2) as scheduler:
             scheduler.submit(TrialTask(), 60, seed=41, chunk_size=10)
             scheduler.run()
-            pids = sorted(r.process.pid for r in
+            pids = sorted(r.handle.pid for r in
                           scheduler.executor._workers.values())
             scheduler.submit(TrialTask(), 60, seed=42, chunk_size=10)
             scheduler.run()
             assert sorted(
-                r.process.pid for r in
+                r.handle.pid for r in
                 scheduler.executor._workers.values()) == pids
 
     def test_prebuilt_pool_is_left_to_its_owner(self):
@@ -434,9 +557,39 @@ class TestSchedulerIntegration:
 
     def test_jobs_accumulate_their_timing_split(self):
         task = _sampler_task("scalar")
-        with CampaignScheduler(executor="process-warm",
-                               num_workers=1) as scheduler:
+        with CampaignScheduler(executor="process",
+                               num_workers=2) as scheduler:
             job = scheduler.submit(task, 12, seed=6, chunk_size=4)
             scheduler.run()
         assert job.setup_seconds > 0.0
         assert job.compute_seconds > 0.0
+
+    @pytest.mark.parametrize("driver", ("fig10_curves",
+                                        "correction_capability_curve"))
+    def test_curve_drivers_close_the_scheduler_they_build(
+            self, driver, monkeypatch):
+        closes = []
+        original = CampaignScheduler.close
+
+        def counting_close(scheduler):
+            closes.append(scheduler)
+            original(scheduler)
+
+        monkeypatch.setattr(CampaignScheduler, "close", counting_close)
+        kwargs = dict(error_counts=(1, 5), sequences=40, seed=3,
+                      engine="packed", executor="process", num_workers=2)
+        if driver == "fig10_curves":
+            fig10_curves(family=((7, 4),), **kwargs)
+        else:
+            correction_capability_curve(HammingCode(7, 4), **kwargs)
+        assert len(closes) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_curve_driver_leaves_a_callers_scheduler_open(self):
+        with CampaignScheduler(executor="process",
+                               num_workers=2) as scheduler:
+            correction_capability_curve(HammingCode(7, 4),
+                                        error_counts=(1,), sequences=40,
+                                        seed=3, scheduler=scheduler)
+            assert scheduler.executor.alive_workers == 2
+        assert _warm_children() == []
