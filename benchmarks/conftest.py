@@ -120,22 +120,20 @@ def flatten_metrics(results: dict, path=()) -> dict:
 
 
 def _engine_metadata() -> dict:
-    """Array-backend/engine fingerprint embedded in every benchmark
+    """Array-library/engine fingerprint embedded in every benchmark
     envelope and history row (never raises -- benchmarks must record
     even on a pure-stdlib install, where every entry is None).  The
-    numba version rides along so jit-engine numbers are never compared
-    across compiler versions (or against uncompiled runs) silently."""
-    numpy_version = None
+    word pipeline runs on numpy alone, so ``"backend"`` is ``"numpy"``
+    exactly when numpy imports; the key stays so history rows remain
+    comparable.  The numba version rides along so jit-engine numbers
+    are never compared across compiler versions (or against
+    uncompiled runs) silently."""
+    numpy_version = backend = None
     try:
         import numpy
         numpy_version = numpy.__version__
+        backend = "numpy"
     except ImportError:
-        pass
-    backend = None
-    try:
-        from repro.engines.backend import default_backend_name
-        backend = default_backend_name()
-    except Exception:
         pass
     numba_version = None
     try:

@@ -35,8 +35,10 @@ Table III Hamming member, (63,57), stacked with CRC-16 -- wide
 codewords are where the scalar slice decoder is most expensive.
 Bit-exactness of the measured work itself is asserted inline (the full
 property suites live in ``tests/engines/``), on outcomes from untimed
-runs.  The simd-vs-batched ratio is the closest race, so its repeats
-are interleaved and reduced min-of-k after a warm-up.
+runs.  Every guarded ratio times its two sides with
+:func:`benchmarks.conftest.time_interleaved`: one warm-up call each,
+then min-of-k over repeats interleaved A, B, A, B, ... so host drift
+hits both sides alike.
 """
 
 import functools
@@ -45,7 +47,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import print_section, record_bench
+from benchmarks.conftest import print_section, record_bench, time_interleaved
 from repro.circuit.generators import make_random_state_circuit
 from repro.core.protected import ProtectedDesign
 from repro.engines.packing import pack_chains, replicate_states
@@ -81,7 +83,7 @@ def _build(engine, codes=CODES):
                            engine=engine)
 
 
-#: Repeats of the interleaved simd-vs-batched timing (min-of-k).
+#: Repeats of every interleaved A/B timing (min-of-k).
 INTERLEAVED_REPEATS = 7
 
 
@@ -91,20 +93,6 @@ def _time(fn, repeats):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _time_interleaved(runs, repeats):
-    """Min-of-``repeats`` seconds of each callable in ``runs`` (a
-    ``{name: fn}`` dict), the repeats interleaved A, B, A, B, ... so
-    host-speed drift during the measurement hits every contender
-    alike instead of whichever happened to run second."""
-    best = {name: float("inf") for name in runs}
-    for _ in range(repeats):
-        for name, fn in runs.items():
-            start = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - start)
     return best
 
 
@@ -127,9 +115,9 @@ def test_single_error_campaign_throughput():
                                      pattern_rng) for _ in range(BATCH)]
 
     # -- batch engines: one pass for the whole batch -------------------
-    # One untimed full batch per engine is both its warm-up and the
-    # outcome the bit-exactness check below uses; the timed repeats
-    # then alternate between the engines.
+    # One untimed full batch per engine gives the outcome the
+    # bit-exactness check below uses; the timed repeats then alternate
+    # between the engines.
     batch_engines = ("batched", "simd") if SIMD_AVAILABLE else ("batched",)
     batch_outcomes = {}
     batch_runs = {}
@@ -139,7 +127,7 @@ def test_single_error_campaign_throughput():
         batch_runs[engine] = functools.partial(
             design.sleep_wake_cycle_batch, patterns)
     batch_times = {
-        engine: seconds / BATCH for engine, seconds in _time_interleaved(
+        engine: seconds / BATCH for engine, seconds in time_interleaved(
             batch_runs, INTERLEAVED_REPEATS).items()}
 
     # -- packed engine: one scalar cycle per sequence ------------------
@@ -263,21 +251,22 @@ def test_dense_error_campaign_throughput():
         apply_batch_flips(corrupted, knowns, flips, DENSE_BATCH)
         return clean, corrupted
 
-    engine_times = {}
+    engine_runs = {}
     engine_results = {}
     for name in ("batched", "simd"):
         design = _build(name, codes=DENSE_CODES)
         engine = get_engine(name, design)
         clean, corrupted = prepared_planes()
 
-        def engine_pass(engine=engine, clean=clean, corrupted=corrupted,
-                        name=name):
+        def engine_pass(engine=engine, clean=clean, corrupted=corrupted):
             engine.encode_pass_batch(clean, knowns, DENSE_BATCH)
-            engine_results[name] = engine.decode_pass_batch(
-                corrupted, knowns, DENSE_BATCH)
+            return engine.decode_pass_batch(corrupted, knowns, DENSE_BATCH)
 
-        engine_pass()  # warm-up
-        engine_times[name] = _time(engine_pass, repeats=3) / DENSE_BATCH
+        engine_results[name] = engine_pass()  # untimed, for the check
+        engine_runs[name] = engine_pass
+    engine_times = {
+        name: seconds / DENSE_BATCH for name, seconds in time_interleaved(
+            engine_runs, INTERLEAVED_REPEATS).items()}
 
     # The ndarray injection form must corrupt the word-packed state
     # exactly like the plane form the engines were driven with.
@@ -304,16 +293,16 @@ def test_dense_error_campaign_throughput():
 
     # Cycle level: the same dense batch through the full monitored
     # sleep/wake sequence.
-    cycle_times = {}
+    cycle_runs = {}
     cycle_outcomes = {}
     for name in ("batched", "simd"):
         design = _build(name, codes=DENSE_CODES)
-        design.sleep_wake_cycle_batch(patterns[:8])  # warm-up
-
-        def cycle_run(design=design, name=name):
-            cycle_outcomes[name] = design.sleep_wake_cycle_batch(patterns)
-
-        cycle_times[name] = _time(cycle_run, repeats=2) / DENSE_BATCH
+        cycle_outcomes[name] = design.sleep_wake_cycle_batch(patterns)
+        cycle_runs[name] = functools.partial(design.sleep_wake_cycle_batch,
+                                             patterns)
+    cycle_times = {
+        name: seconds / DENSE_BATCH for name, seconds in time_interleaved(
+            cycle_runs, INTERLEAVED_REPEATS).items()}
     for outcome_b, outcome_s in zip(cycle_outcomes["batched"],
                                     cycle_outcomes["simd"]):
         assert _outcomes_equal(outcome_s, outcome_b)
@@ -408,14 +397,14 @@ def test_campaign_summary_path_throughput():
     assert check.stats.detection_rate() == 1.0
     assert check.stats.correction_rate() == 1.0
 
-    times = {}
-    for label, task in (("object", object_task), ("summary", summary_task)):
-        task.run_chunk(20100308, SUMMARY_BATCH)  # warm-up
-
-        def run(task=task):
-            task.run_chunk(20100308, SUMMARY_SEQUENCES)
-
-        times[label] = _time(run, repeats=2) / SUMMARY_SEQUENCES
+    times = {
+        label: seconds / SUMMARY_SEQUENCES
+        for label, seconds in time_interleaved({
+            "object": functools.partial(object_task.run_chunk, 20100308,
+                                        SUMMARY_SEQUENCES),
+            "summary": functools.partial(summary_task.run_chunk, 20100308,
+                                         SUMMARY_SEQUENCES),
+        }, INTERLEAVED_REPEATS).items()}
 
     speedup = times["object"] / times["summary"]
     record_bench("engines", {
@@ -489,14 +478,14 @@ def test_campaign_delta_path_throughput():
     assert check_delta.stats.detection_rate() == 1.0
     assert check_delta.stats.correction_rate() == 1.0
 
-    times = {}
-    for label, task in (("dense", dense_task), ("delta", delta_task)):
-        task.run_chunk(20100308, DELTA_BATCH)  # warm-up
-
-        def run(task=task):
-            task.run_chunk(20100308, DELTA_SEQUENCES)
-
-        times[label] = _time(run, repeats=2) / DELTA_SEQUENCES
+    times = {
+        label: seconds / DELTA_SEQUENCES
+        for label, seconds in time_interleaved({
+            "dense": functools.partial(dense_task.run_chunk, 20100308,
+                                       DELTA_SEQUENCES),
+            "delta": functools.partial(delta_task.run_chunk, 20100308,
+                                       DELTA_SEQUENCES),
+        }, INTERLEAVED_REPEATS).items()}
 
     # "auto" picks delta on this sparse workload (and matches both
     # forced chunks) -- asserted at the engine level, where the chosen

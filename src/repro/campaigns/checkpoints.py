@@ -1,8 +1,9 @@
 """Checkpoint layer: durable, resumable campaign state.
 
 A :class:`CheckpointStore` owns everything about the JSON checkpoint
-file that the runner used to do inline: header validation (a resume
-refuses a file from a different campaign identity), atomic replacement
+file that the runner used to do inline: parsing and header validation
+(a resume refuses a corrupt file, or one from a different campaign
+identity, with an error that names the file), atomic replacement
 (a reader never observes a torn file), and the **save-interval policy**
 -- completed chunks are buffered and the full payload is rewritten only
 every ``save_interval`` completions plus one final flush.  The
@@ -128,12 +129,64 @@ class CheckpointStore:
         self._unsaved = 0
 
     # -- reading -------------------------------------------------------
+    def _corrupt(self, problem: str) -> ValueError:
+        return ValueError(
+            f"checkpoint {self.path!r} {problem}; delete the file to "
+            f"start over")
+
     def load_payload(self) -> Optional[Dict[str, Any]]:
-        """The raw JSON payload of an existing file, or ``None``."""
+        """The JSON object of an existing file, or ``None`` when there
+        is no file.
+
+        A file that is not JSON (e.g. truncated by a crash outside the
+        atomic replace) or whose top level is not an object raises
+        ``ValueError`` naming the path -- never a silent restart.
+        """
         if self.path is None or not os.path.exists(self.path):
             return None
-        with open(self.path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        try:
+            with open(self.path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except ValueError as exc:
+            raise self._corrupt(f"is not valid JSON ({exc})") from None
+        if not isinstance(payload, dict):
+            raise self._corrupt(
+                f"holds a JSON {type(payload).__name__}, not a "
+                f"checkpoint object")
+        return payload
+
+    def restore(self, payload: Optional[Dict[str, Any]],
+                header: Dict[str, Any],
+                result_from_dict: Callable[[Dict[str, Any]], Any],
+                num_chunks: int) -> Dict[int, Any]:
+        """Validate a loaded payload (``None``: no file, nothing to
+        restore) against ``header`` and rebuild its completed-chunk
+        results.
+
+        A header mismatch (:meth:`validate`), a ``completed`` map that
+        ``result_from_dict`` cannot rebuild, and a chunk index outside
+        ``range(num_chunks)`` each raise ``ValueError`` naming the path.
+        """
+        if payload is None:
+            return {}
+        try:
+            self.validate(payload, header)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {self.path!r} {exc}") from None
+        try:
+            completed = {int(index): result_from_dict(result)
+                         for index, result in
+                         payload.get("completed", {}).items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise self._corrupt(
+                f"has an unreadable 'completed' entry "
+                f"({type(exc).__name__}: {exc})") from None
+        unknown = sorted(index for index in completed
+                         if not 0 <= index < num_chunks)
+        if unknown:
+            raise self._corrupt(
+                f"holds chunks outside the campaign plan: {unknown}")
+        return completed
 
     @staticmethod
     def validate(payload: Dict[str, Any],
@@ -160,14 +213,6 @@ class CheckpointStore:
                 f"(stale fields: {', '.join(sorted(mismatched))}"
                 f"{detail}); delete the file to start over, or re-run "
                 f"with the original campaign parameters")
-
-    @staticmethod
-    def restore_completed(payload: Dict[str, Any],
-                          result_from_dict: Callable[[Dict[str, Any]], Any]
-                          ) -> Dict[int, Any]:
-        """Rebuild the completed-chunk results of a payload."""
-        return {int(index): result_from_dict(result)
-                for index, result in payload.get("completed", {}).items()}
 
     # -- writing -------------------------------------------------------
     def attach(self, header: Dict[str, Any],

@@ -322,34 +322,20 @@ class ShardedCampaignRunner:
             "task": self.task.fingerprint(),
         }
 
-    def _restore(self, store: CheckpointStore) -> Dict[int, Any]:
-        """Load, validate and adopt an existing checkpoint, if any."""
-        payload = store.load_payload()
-        if payload is None:
-            return {}
-        if self._seed is None:
-            # Adopt the recorded root so the resumed plan matches.
-            self._root = payload.get("root_seed", self._root)
-        try:
-            store.validate(payload, self._checkpoint_header())
-        except ValueError as exc:
-            raise ValueError(
-                f"checkpoint {store.path!r} {exc}") from None
-        return store.restore_completed(payload, self.task.result_from_dict)
-
     # -- execution ------------------------------------------------------
     def run(self) -> Any:
         """Execute the campaign and return the merged statistics."""
         store = CheckpointStore(self.checkpoint_path,
                                 save_interval=self.save_interval)
-        completed = self._restore(store)
+        payload = store.load_payload()
+        if payload is not None and self._seed is None:
+            # Adopt the recorded root so the resumed plan matches.
+            self._root = payload.get("root_seed", self._root)
         plan = self.plan()
         counts = plan.counts()
-        unknown = set(completed) - set(counts)
-        if unknown:
-            raise ValueError(
-                f"checkpoint contains chunks outside the campaign plan: "
-                f"{sorted(unknown)}")
+        completed = store.restore(payload, self._checkpoint_header(),
+                                  self.task.result_from_dict,
+                                  plan.num_chunks)
         store.attach(self._checkpoint_header(), completed)
         restored = sum(counts[i] for i in completed)
         started = time.perf_counter()

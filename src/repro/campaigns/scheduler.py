@@ -97,15 +97,9 @@ class CampaignJob:
 
     def _restore(self) -> None:
         """Load this job's checkpoint (validated) and adopt its chunks."""
-        payload = self.store.load_payload()
-        if payload is not None:
-            try:
-                self.store.validate(payload, self._header())
-            except ValueError as exc:
-                raise ValueError(
-                    f"checkpoint {self.store.path!r} {exc}") from None
-            self.completed = self.store.restore_completed(
-                payload, self.task.result_from_dict)
+        self.completed = self.store.restore(
+            self.store.load_payload(), self._header(),
+            self.task.result_from_dict, self.plan.num_chunks)
         self._restored = self.sequences_completed
         self.store.attach(self._header(), self.completed)
 

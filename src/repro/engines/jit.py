@@ -29,7 +29,7 @@ order-dependent); there the engine inherits the numpy path.
 **Gating.**  The kernels are written in nopython-compatible Python and
 wrapped with ``numba.njit(parallel=True, cache=True)`` only when numba
 is importable (the ``[jit]`` packaging extra); the registry then lists
-``engine="jit"`` -- gated exactly like ``[simd]``/CuPy, silently
+``engine="jit"`` -- gated exactly like ``[simd]``, silently
 absent otherwise.  The *uncompiled* functions remain first-class:
 ``JitFusedEngine(compiled=False)`` executes the identical kernel logic
 through the interpreter, which is how the bit-identity property suite
@@ -309,7 +309,7 @@ class JitFusedEngine(SimdBatchedEngine):
 
     def __init__(self, bank, num_chains: int, chain_length: int,
                  compiled: Optional[bool] = None):
-        super().__init__(bank, num_chains, chain_length, backend=None)
+        super().__init__(bank, num_chains, chain_length)
         if compiled is None:
             compiled = _fused_summary_compiled is not None
         if compiled and _fused_summary_compiled is None:
@@ -374,22 +374,14 @@ class JitFusedEngine(SimdBatchedEngine):
         known_bits = bits_matrix(knowns, self.chain_length)
         if isinstance(flips, PatternBatch):
             starts, cells, injected = pattern_batch_csr(
-                flips, known_bits, batch_size,
-                starts_out=self._workspace.take(
-                    "jit_starts", (batch_size + 1,), np.int64))
+                flips, known_bits, batch_size)
         else:
             starts, cells, injected = batch_flips_csr(
-                flips, knowns, batch_size, self.chain_length,
-                starts_out=self._workspace.take(
-                    "jit_starts", (batch_size + 1,), np.int64))
+                flips, knowns, batch_size, self.chain_length)
         if self._jit_plan is None:
             self._jit_plan = _JitPlan(plan)
         jp = self._jit_plan
         unknown_positions = int(known_bits.size) - int(known_bits.sum())
-        # The outcome arrays escape into the returned
-        # BatchOutcomeArrays (campaign code may hold several batches'
-        # results at once), so they are freshly allocated -- only
-        # internal scratch (the CSR starts above) rides the workspace.
         detected = np.zeros(batch_size, dtype=bool)
         uncorrectable = np.zeros(batch_size, dtype=bool)
         corrections = np.zeros(batch_size, dtype=np.int64)

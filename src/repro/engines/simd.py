@@ -45,14 +45,9 @@ side, and the path actually taken is published as
 ``engine.last_summary_path``.  The two paths are bit-identical
 (property-tested in ``tests/engines/test_delta_path.py``).
 
-The array namespace is injected through
-:mod:`repro.engines.backend` (the ``xp`` convention): the engine
-resolves an :class:`~repro.engines.backend.ArrayBackend` at
-construction (numpy by default, ``backend="cuda"`` when CuPy is
-installed) and reuses per-engine :class:`~repro.engines.backend.\
-Workspace` buffers for the dense summary pass's dominant arrays, so
-steady-state equally-shaped batches stop allocating fresh state each
-pass.
+Every kernel calls numpy directly.  The dense summary pass allocates
+its word arrays per pass: reusing them across equally-shaped batches
+measured within noise of fresh allocation on the Sec. IV campaigns.
 
 Bit-exactness with the reference engine is property-tested in
 ``tests/engines/test_simd_equivalence.py`` across all registered
@@ -74,7 +69,6 @@ from repro.codes.plane import block_parity_matrix, crc_stream_matrix
 from repro.codes.secded import SECDEDCode
 from repro.core.corrector import CorrectionEvent
 from repro.core.monitor import MonitorBank, MonitorReport
-from repro.engines.backend import Workspace, get_backend
 from repro.engines.base import (
     BatchDecodeResult,
     BatchOutcomeArrays,
@@ -404,11 +398,6 @@ class SimdBatchedEngine(SimulationEngine):
         are stored inside the engine; the bank's blocks are untouched.
     num_chains, chain_length:
         Geometry of the chain set the passes run over.
-    backend:
-        Array-backend name resolved through
-        :func:`repro.engines.backend.get_backend` (``None`` -> the
-        default, numpy).  The resolved namespace is published as
-        ``self.xp``; ``"cuda"`` exists whenever CuPy is installed.
 
     Raises ``ValueError`` at construction for codes without a
     structured GF(2) form (adapter-only codes) -- those run on the
@@ -422,10 +411,7 @@ class SimdBatchedEngine(SimulationEngine):
     delta_crossover = DELTA_CROSSOVER_FLIPS_PER_SEQ
 
     def __init__(self, bank: MonitorBank, num_chains: int,
-                 chain_length: int, backend: Optional[str] = None):
-        self._backend = get_backend(backend)
-        self.xp = self._backend.xp
-        self._workspace = Workspace(self.xp)
+                 chain_length: int):
         self.num_chains = num_chains
         self.chain_length = chain_length
         (self._order, self._correcting, self._observing,
@@ -464,26 +450,6 @@ class SimdBatchedEngine(SimulationEngine):
         #: The path the last run_batch_summary call actually took
         #: ("delta" or "dense"); None before any summary pass.
         self.last_summary_path: Optional[str] = None
-        if self._backend.name != "numpy":  # pragma: no cover - no CuPy CI
-            self._adopt_backend()
-
-    def _adopt_backend(self) -> None:  # pragma: no cover - no CuPy CI
-        """Move the per-pass hot structure arrays (gather/scatter
-        indices, LUTs, stream rows) into the backend's native memory;
-        the host keeps the protocol-boundary packers."""
-        move = self._backend.asarray
-        for group in self._groups:
-            group.gather_idx = move(group.gather_idx)
-            kernel = group.kernel
-            kernel.rows = tuple(move(row) for row in kernel.rows)
-            if hasattr(kernel, "lut"):
-                kernel.lut = move(kernel.lut)
-        for monitor in self._observing:
-            monitor.rows_flat = [move(row) for row in monitor.rows_flat]
-            monitor.const_idx = move(monitor.const_idx)
-            if monitor.gather_all is not None:
-                monitor.gather_all = move(monitor.gather_all)
-                monitor.offsets = move(monitor.offsets)
 
     # ------------------------------------------------------------------
     def _full_words(self, batch_size: int) -> np.ndarray:
@@ -520,18 +486,11 @@ class SimdBatchedEngine(SimulationEngine):
                         "unknown positions must hold all-zero planes")
         return words
 
-    def _gather(self, group: _BlockGroup, words: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
+    def _gather(self, group: _BlockGroup, words: np.ndarray) -> np.ndarray:
         """The group's data words ``(G, k, L, W)``; tied-off padding
-        inputs are constant-zero rows.  ``out`` (workspace buffer of
-        shape ``(G * k, L, W)``) is fully overwritten when given."""
-        idx = group.gather_idx.reshape(-1)
-        if out is None:
-            data = words[idx]
-        else:
-            data = self.xp.take(words, idx, axis=0, out=out)
-        data = data.reshape(len(group.monitors), group.kernel.k,
-                            self.chain_length, -1)
+        inputs are constant-zero rows."""
+        data = words[group.gather_idx.reshape(-1)].reshape(
+            len(group.monitors), group.kernel.k, self.chain_length, -1)
         if group.pad_mask is not None:
             data[group.pad_mask] = 0
         return data
@@ -565,20 +524,12 @@ class SimdBatchedEngine(SimulationEngine):
         words = self._to_words(planes, knowns, batch_size)
         return self._encode_words(words, batch_size)
 
-    def _gather_ws(self, index: int, group: _BlockGroup,
-                   words: np.ndarray) -> np.ndarray:
-        """:meth:`_gather` through a per-group workspace buffer (the
-        gathered view never escapes the pass that took it)."""
-        shape = (group.gather_idx.size, self.chain_length, words.shape[2])
-        buf = self._workspace.take(("gather", index), shape, np.uint64)
-        return self._gather(group, words, out=buf)
-
     def _encode_words(self, words: np.ndarray, batch_size: int) -> int:
         """Encode a word-packed batch, storing the check words."""
         full = self._full_words(batch_size)
-        for index, group in enumerate(self._groups):
-            group.stored = group.kernel.encode(
-                self._gather_ws(index, group, words), full)
+        for group in self._groups:
+            group.stored = group.kernel.encode(self._gather(group, words),
+                                               full)
         words_flat = words.reshape(-1, words.shape[2])
         for monitor in self._observing:
             monitor.stored = self._stream_signature(monitor, words_flat,
@@ -805,7 +756,7 @@ class SimdBatchedEngine(SimulationEngine):
             self._delta_plan = build_plan(
                 self._groups, self._observing,
                 self._overlapping_correctors, self.num_chains,
-                self.chain_length, xp=self.xp)
+                self.chain_length)
         return self._delta_plan
 
     def _delta_summary(self, plan, knowns: Sequence[int],
@@ -826,18 +777,13 @@ class SimdBatchedEngine(SimulationEngine):
         else:
             seqs, cells, injected = batch_flips_coords(
                 flips, knowns, batch_size, self.chain_length)
-        if self._backend.name != "numpy":  # pragma: no cover - no CuPy CI
-            move = self._backend.asarray
-            seqs, cells, injected = move(seqs), move(cells), move(injected)
-            known_bits = move(known_bits)
         return delta_summary(plan, known_bits, seqs, cells, injected,
-                             batch_size, xp=self.xp)
+                             batch_size)
 
     def _dense_summary(self, states: Sequence[int], knowns: Sequence[int],
                        known_bits: np.ndarray, flips,
                        batch_size: int) -> BatchOutcomeArrays:
-        """The dense word pipeline (every density), with workspace-
-        backed state buffers."""
+        """The dense word pipeline (every density)."""
         from repro.engines.summary import (
             bits_matrix,
             replicate_state_words,
@@ -855,12 +801,7 @@ class SimdBatchedEngine(SimulationEngine):
         # Unknown positions hold all-zero planes (the treat-X-as-0
         # rule), exactly like _to_words requires of protocol callers.
         state_bits &= known_bits
-        words = replicate_state_words(
-            state_bits, full,
-            out=self._workspace.take(
-                "summary_words", state_bits.shape + (full.size,),
-                np.uint64),
-            xp=self.xp)
+        words = replicate_state_words(state_bits, full)
         self._encode_words(words, batch_size)
         # A PatternBatch resolves to scatter arrays without any
         # per-flip Python work; a BatchFlips dict goes through the
@@ -880,15 +821,10 @@ class SimdBatchedEngine(SimulationEngine):
         num_words = words.shape[2]
         overlap = self._overlapping_correctors
         group_flips: List[Tuple[np.ndarray, np.ndarray]] = []
-        if overlap:
-            pre_correction = self._workspace.take("summary_pre",
-                                                  words.shape, np.uint64)
-            pre_correction[...] = words
-        else:
-            pre_correction = None
+        pre_correction = words.copy() if overlap else None
         words_flat = words.reshape(-1)
-        for index, group in enumerate(self._groups):
-            out = group.kernel.decode(self._gather_ws(index, group, words),
+        for group in self._groups:
+            out = group.kernel.decode(self._gather(group, words),
                                       group.stored, full, batch_size)
             if out is None:
                 for monitor in group.monitors:
@@ -949,8 +885,7 @@ class SimdBatchedEngine(SimulationEngine):
         residuals = residual_counts_words(states, knowns, words,
                                           batch_size,
                                           state_bits=state_bits,
-                                          known_bits=known_bits,
-                                          xp=self.xp)
+                                          known_bits=known_bits)
 
         return BatchOutcomeArrays(
             injected=injected.astype(np.int64),

@@ -372,27 +372,23 @@ def pattern_batch_coords(batch: "PatternBatch", known_bits,
     return seqs, cells, counts
 
 
-def _coords_to_csr(cells, counts, batch_size: int, starts_out=None):
+def _coords_to_csr(counts, batch_size: int):
     """Row pointers of (sequence, cell)-sorted flip coordinates.
 
     ``counts`` is the per-sequence flip count; because the coordinate
     resolvers emit cells sorted by (sequence, cell), the exclusive
     prefix sum of ``counts`` is exactly the CSR row-pointer array:
     sequence ``b``'s flips are ``cells[starts[b]:starts[b + 1]]``.
-    ``starts_out`` (shape ``(batch_size + 1,)``, int64) is fully
-    overwritten when given -- the engines' workspace-buffer hook.
     """
     import numpy as np
 
-    if starts_out is None:
-        starts_out = np.empty(batch_size + 1, dtype=np.int64)
-    starts_out[0] = 0
-    np.cumsum(counts, out=starts_out[1:])
-    return starts_out
+    starts = np.empty(batch_size + 1, dtype=np.int64)
+    starts[0] = 0
+    np.cumsum(counts, out=starts[1:])
+    return starts
 
 
-def pattern_batch_csr(batch: "PatternBatch", known_bits, batch_size: int,
-                      starts_out=None):
+def pattern_batch_csr(batch: "PatternBatch", known_bits, batch_size: int):
     """Resolve a :class:`PatternBatch` into CSR flip slices -- the
     fused summary kernels' input form (:mod:`repro.engines.jit`).
 
@@ -408,19 +404,17 @@ def pattern_batch_csr(batch: "PatternBatch", known_bits, batch_size: int,
     seqs, cells, counts = pattern_batch_coords(batch, known_bits,
                                                batch_size)
     del seqs  # implied by the row pointers
-    return (_coords_to_csr(cells, counts, batch_size, starts_out),
-            cells, counts)
+    return _coords_to_csr(counts, batch_size), cells, counts
 
 
 def batch_flips_csr(flips: BatchFlips, knowns: Sequence[int],
-                    batch_size: int, chain_length: int, starts_out=None):
+                    batch_size: int, chain_length: int):
     """Resolve a :data:`BatchFlips` dict into the CSR slice form of
     :func:`pattern_batch_csr` (``(starts, cells, counts)``)."""
     seqs, cells, counts = batch_flips_coords(flips, knowns, batch_size,
                                              chain_length)
     del seqs
-    return (_coords_to_csr(cells, counts, batch_size, starts_out),
-            cells, counts)
+    return _coords_to_csr(counts, batch_size), cells, counts
 
 
 def batch_flips_coords(flips: BatchFlips, knowns: Sequence[int],

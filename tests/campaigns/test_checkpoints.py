@@ -150,3 +150,76 @@ class TestStoreMechanics:
         with pytest.raises(ValueError, match="stale fields: seed"):
             CheckpointStore.validate({"seed": 1, "total": 5},
                                      {"seed": 2, "total": 5})
+
+
+def _run_runner(path):
+    return ShardedCampaignRunner(TrialTask(), 60, seed=3, chunk_size=10,
+                                 checkpoint_path=path).run()
+
+
+def _run_scheduler(path):
+    from repro.campaigns.scheduler import CampaignScheduler
+
+    with CampaignScheduler(executor="serial") as scheduler:
+        scheduler.submit(TrialTask(), 60, seed=3, chunk_size=10,
+                         checkpoint_path=path)
+        return scheduler.run()[0]
+
+
+def _truncate(text):
+    return text[:len(text) // 2]
+
+
+def _non_object(text):
+    return "[1, 2]"
+
+
+def _bad_entry(text):
+    payload = json.loads(text)
+    payload["completed"]["0"] = {"bogus": 1}
+    return json.dumps(payload)
+
+
+def _completed_not_a_map(text):
+    payload = json.loads(text)
+    payload["completed"] = [1, 2]
+    return json.dumps(payload)
+
+
+def _outside_plan(text):
+    payload = json.loads(text)
+    payload["completed"]["99"] = payload["completed"].pop("5")
+    return json.dumps(payload)
+
+
+class TestCorruptCheckpoint:
+    """A damaged checkpoint fails the resume with an error that names
+    the file and says how to recover -- through both the runner and the
+    scheduler, and without touching the file (never a silent
+    restart)."""
+
+    @pytest.mark.parametrize("campaign", [_run_runner, _run_scheduler],
+                             ids=["runner", "scheduler"])
+    @pytest.mark.parametrize("corrupt, problem", [
+        (_truncate, "is not valid JSON"),
+        (_non_object, "holds a JSON list"),
+        (_bad_entry, "unreadable 'completed' entry"),
+        (_completed_not_a_map, "unreadable 'completed' entry"),
+        (_outside_plan, "chunks outside the campaign plan: [99]"),
+    ], ids=["truncated", "non-object", "bad-entry", "completed-list",
+            "outside-plan"])
+    def test_actionable_error(self, tmp_path, campaign, corrupt, problem):
+        path = str(tmp_path / "campaign.json")
+        reference = campaign(path)
+        checkpoint = tmp_path / "campaign.json"
+        damaged = corrupt(checkpoint.read_text())
+        checkpoint.write_text(damaged)
+        with pytest.raises(ValueError) as excinfo:
+            campaign(path)
+        message = str(excinfo.value)
+        assert repr(path) in message
+        assert problem in message
+        assert "delete the file to start over" in message
+        assert checkpoint.read_text() == damaged
+        checkpoint.unlink()
+        assert campaign(path) == reference

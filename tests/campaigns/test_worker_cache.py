@@ -194,7 +194,7 @@ class TestFIFOChunkWorkspace:
 
     def test_engine_cache_survives_reseed(self):
         # The whole point of the workspace: the design's keyed engine
-        # cache (workspaces, LUT memos) must not be dropped per chunk.
+        # cache (delta plans, LUT memos) must not be dropped per chunk.
         task = _sampler_task("batched")
         workspace = task.build_worker_state()
         task.run_chunk_warm(workspace, 1, 4)

@@ -288,11 +288,11 @@ def test_jit_registration_tracks_numba():
     assert ("jit" in available_engines()) == HAVE_NUMBA
 
 
-@pytest.mark.parametrize("name", ("jit", "cuda"))
+@pytest.mark.parametrize("name", ("jit",))
 def test_forced_optional_engine_error_is_actionable(name):
     """Forcing an optional engine on an install without its dependency
-    raises the same shape for jit as for cuda: 'unknown engine' plus
-    the gating module, not a bare typo-style error."""
+    raises 'unknown engine' plus the gating module, not a bare
+    typo-style error."""
     module, _ = CONDITIONAL_ENGINES[name]
     import importlib.util
     if importlib.util.find_spec(module) is not None:
@@ -303,6 +303,17 @@ def test_forced_optional_engine_error_is_actionable(name):
     assert "unknown engine" in message
     assert module in message
     assert f"'{name}'" in message
+
+
+def test_retired_cuda_engine_is_unknown():
+    """There is no GPU engine: 'cuda' is an unknown name on every
+    install, and the error lists the engines that do exist."""
+    assert "cuda" not in CONDITIONAL_ENGINES
+    with pytest.raises(ValueError) as excinfo:
+        validate_engine("cuda")
+    message = str(excinfo.value)
+    assert "unknown engine 'cuda'" in message
+    assert str(available_engines()) in message
 
 
 def test_compiled_true_without_numba_raises_import_error():

@@ -108,19 +108,3 @@ def test_csr_empty_batch():
     _assert_csr_contract(starts, cells, counts, 7)
     assert cells.size == 0
     assert np.all(starts == 0)
-
-
-def test_starts_out_buffer_is_reused():
-    """The engines pass a workspace buffer; the resolver must write the
-    row pointers into it and return that very array."""
-    rng = np.random.default_rng(11)
-    batch_size = 50
-    batch = sample_pattern_batch("single", NUM_CHAINS, CHAIN_LENGTH,
-                                 batch_size, rng)
-    known_bits = bits_matrix(_knowns(), CHAIN_LENGTH)
-    buffer = np.full(batch_size + 1, -99, dtype=np.int64)
-    starts, cells, counts = pattern_batch_csr(batch, known_bits,
-                                              batch_size,
-                                              starts_out=buffer)
-    assert starts is buffer
-    _assert_csr_contract(starts, cells, counts, batch_size)
